@@ -12,19 +12,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import DegenerateData, SingularSystem, NotPositiveDefinite
 from .estimators import (
-    DEFAULT_LAMBDA_GRID,
     FitDiagnostics,
     FittedModel,
+    _gcv_curve,
+    _gcv_select,
     _kriging_full_fit,
-    _plateau_argmin,
+    _lambda_plan,
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
 from .kernels import KernelSpec, kernel_matrix
-from .numerics import spd_factor
+from .numerics import SmootherSpectrum, spd_factor
 
 # Beyond this many training points the n-vector of fitted values is not
 # materialized for the full-coefficient Nystrom model (it would cost an
@@ -60,7 +61,7 @@ def fit_gpr(
     """Kriging smoother with GLS trend on all n points, lambda by GCV."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    lam, beta, c, gamma, jitter, gval, _ = _kriging_full_fit(
+    lam, beta, c, gamma, jitter, gval = _kriging_full_fit(
         X, y, spec, g_kind, lambda_policy, grid
     )
     return FittedModel(
@@ -77,12 +78,46 @@ def fit_gpr(
     )
 
 
-def _nystrom_workspace(X, A, spec, g_kind):
+def _nystrom_spectrum(X, y, A, spec, g_kind):
+    """Spectrum of the low-rank GPR smoother and its coefficients.
+
+    The Gram matrix is replaced by P P' with P = R_XA L_A^{-T} (R_A = L_A
+    L_A').  A thin SVD U S W' of P with the trend columns projected out
+    gives the smoother's spectrum without any n x n array: d = S^2 on U,
+    and the other n - q - m directions orthogonal to the trend carry
+    d = 0, so they are pure residual at every lambda.
+
+    Returns the spectrum, ``coefficients(lam) -> (beta, alpha)`` with the
+    prediction g(x)'beta + r_X(x)'alpha, and the jitter put on R_A.
+    """
+    n = X.shape[0]
     Ak = as_knots(A)
-    RXA = kernel_matrix(spec, X, Ak.points)
-    RA = kernel_matrix(spec, Ak.points, Ak.points)
+    facA = spd_factor(kernel_matrix(spec, Ak.points, Ak.points))
+    P = solve_triangular(facA.factor, kernel_matrix(spec, X, Ak.points).T, lower=True).T
     G = regression_matrix(g_kind, X)
-    return Ak, RXA, RA, G
+    q = G.shape[1]
+    Pp, yp = P, y
+    if q:
+        Q1, Rg = np.linalg.qr(G)
+        Pp = P - Q1 @ (Q1.T @ P)
+        yp = y - Q1 @ (Q1.T @ y)
+    U, sv, _ = np.linalg.svd(Pp, full_matrices=False)
+    d = sv**2
+    z = U.T @ yp
+    rest = yp - U @ z
+
+    def coefficients(lam):
+        nl = n * lam
+        if nl <= 0.0:
+            raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")
+        alpha = U @ (z / (d + nl)) + rest / nl
+        if not q:
+            return np.zeros(0), alpha
+        # G beta = y - K alpha with K = P P' + n*lam*I
+        return solve_triangular(Rg, Q1.T @ (y - P @ (P.T @ alpha) - nl * alpha)), alpha
+
+    spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(rest @ rest), k0=n - q - Ak.m)
+    return spectrum, coefficients, facA.jitter_applied
 
 
 def fit_nystrom(
@@ -95,75 +130,23 @@ def fit_nystrom(
     grid=None,
 ) -> FittedModel:
     """Low-rank GPR: the Gram matrix is replaced by its m-rank surrogate
-    R_XA R_A^{-1} R_XA', all solves go through the Woodbury identity in
-    O(m^2 n), and prediction keeps the exact cross-kernel values.
+    R_XA R_A^{-1} R_XA', decomposed once in O(m^2 n), and prediction keeps
+    the exact cross-kernel values.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
-    Ak, RXA, RA, G = _nystrom_workspace(X, A, spec, g_kind)
-    q = G.shape[1]
-    C = RXA.T @ RXA
-    Ry = RXA.T @ y
-    RG = RXA.T @ G
-
-    def solve_at(lam):
-        """Woodbury pieces at one lambda; returns None when unusable."""
-        dl = n * lam
-        if dl <= 0.0:
-            return None
-        S = RA + C / dl
-        try:
-            facS = spd_factor(S)
-        except NotPositiveDefinite:
-            return None
-        Kinv_y = (y - RXA @ facS.solve(Ry) / dl) / dl
-        if q:
-            Kinv_G = (G - RXA @ facS.solve(RG) / dl) / dl
-            M = G.T @ Kinv_G
-            try:
-                beta = np.linalg.solve(M, G.T @ Kinv_y)
-                corr = float(np.trace(np.linalg.solve(M, Kinv_G.T @ Kinv_G)))
-            except np.linalg.LinAlgError:
-                return None
-            alpha = Kinv_y - Kinv_G @ beta
-        else:
-            beta = np.zeros(0)
-            corr = 0.0
-            alpha = Kinv_y
-        trK = (n - float(np.trace(facS.solve(C))) / dl) / dl
-        trH = n - dl * (trK - corr)
-        rss = float(np.sum((dl * alpha) ** 2))
-        ratio = trH / n
-        gval = (
-            math.inf if ratio >= 1.0 - 1e-12 else rss / (n * (1.0 - ratio) ** 2)
-        )
-        return beta, alpha, gval, facS.jitter_applied
-
+    spectrum, coefficients, jitter = _nystrom_spectrum(X, y, A, spec, g_kind)
+    lam, grid = _lambda_plan(lambda_policy, grid)
     gval = None
-    if isinstance(lambda_policy, str) and lambda_policy == "gcv":
-        lam_grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(grid)
-        if lam_grid.size == 1:
-            lam = float(lam_grid[0])
-        else:
-            curve = np.empty(len(lam_grid))
-            for i, lam_i in enumerate(lam_grid):
-                out = solve_at(lam_i)
-                curve[i] = math.inf if out is None else out[2]
-            idx = _plateau_argmin(lam_grid, curve)
-            lam = float(lam_grid[idx])
-            gval = float(curve[idx]) if np.isfinite(curve[idx]) else None
-    else:
-        lam = float(lambda_policy)
-    out = solve_at(lam)
-    if out is None:
-        raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")
-    beta, alpha, _, jitter = out
+    if grid is not None:
+        lam, gval = _gcv_select(grid, _gcv_curve(n, *spectrum.rss_and_dof(grid)))
+    beta, alpha = coefficients(lam)
     gamma = None
     if n <= _GAMMA_MATERIALIZE_LIMIT:
         gamma = np.zeros(n)
-        if q:
-            gamma += G @ beta
+        if beta.size:
+            gamma += regression_matrix(g_kind, X) @ beta
         chunk = max(1, 2_000_000 // n)
         for s in range(0, n, chunk):
             gamma[s : s + chunk] += kernel_matrix(spec, X[s : s + chunk], X) @ alpha
@@ -285,14 +268,12 @@ def estimate_variances(X, y, A, spec: KernelSpec, grid_points: int = 20) -> Vari
                 Gm = (P * u[:, None]).T @ P
                 h = P.T @ (u * y)
                 try:
-                    cf = cho_factor(np.eye(m) + Gm, lower=True)
-                except np.linalg.LinAlgError:
+                    fac = spd_factor(np.eye(m) + Gm)
+                except NotPositiveDefinite:
                     cache[key] = (math.inf, math.inf)
                 else:
-                    quad = float(y * u @ y) - float(h @ cho_solve(cf, h))
-                    logdet = float(np.sum(np.log(lam_diag + rho))) + 2.0 * float(
-                        np.sum(np.log(np.diag(cf[0])))
-                    )
+                    quad = float(y * u @ y) - float(h @ fac.solve(h))
+                    logdet = float(np.sum(np.log(lam_diag + rho))) + fac.logdet()
                     cache[key] = (quad, logdet)
             quad, logdet = cache[key]
             if not np.isfinite(quad):

@@ -23,6 +23,7 @@ from .baselines import estimate_variances, fit_gpr, fit_nystrom, fit_spgp
 from .designs import chebyshev_knots, equispaced_knots, next_knot, replication_design, select_knots
 from .errors import BadSchema, DimensionMismatch, UnknownFunction
 from .estimators import (
+    _gcv_curve,
     estimate_kernel_params,
     fit_gprr,
     fit_krr,
@@ -618,7 +619,8 @@ def run_ccpp(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
 
 
 def _gcv_at_zero_penalty(rss_over_n: float, n: int, m: int) -> float:
-    return rss_over_n / (1.0 - m / n) ** 2
+    """GCV of the unpenalized m-knot fit, whose smoother has trace m."""
+    return float(_gcv_curve(n, rss_over_n * n, n - m))
 
 
 def _sequential_knots(X, y, indices, kp, config, test_pair):
@@ -647,7 +649,7 @@ def _sequential_knots(X, y, indices, kp, config, test_pair):
         trajectory.append(
             _traj_record(it, len(indices), rss_over_n, n, model, test_pair, new_idx)
         )
-        prev, cur = trajectory[-2]["gcv"], trajectory[-1]["gcv"]
+        prev, cur = (math.inf if t["gcv"] is None else t["gcv"] for t in trajectory[-2:])
         stall = stall + 1 if cur > prev * (1.0 - 1e-3) else 0
         if stall >= 3:
             break
@@ -655,17 +657,14 @@ def _sequential_knots(X, y, indices, kp, config, test_pair):
 
 
 def _traj_record(it, m, rss_over_n, n, model, test_pair, added):
+    gcv = _gcv_at_zero_penalty(rss_over_n, n, m)
     rec = {
         "iteration": it,
         "m": int(m),
-        "gcv": float(_gcv_at_zero_penalty(rss_over_n, n, m)),
+        "gcv": gcv if math.isfinite(gcv) else None,
         "added_index": added,
     }
     if test_pair[0] is not None:
         rec["test_error"] = evaluate(model, *test_pair)
     return rec
 
-
-def run_ccpp_sequential(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
-    """The sequential stage alone (knot selection plus knot addition)."""
-    return run_ccpp(dataset, config)

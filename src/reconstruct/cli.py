@@ -13,7 +13,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import __version__
 from .baselines import estimate_variances, fit_gpr, fit_nystrom, fit_spgp, fit_empirical_bayes
@@ -30,6 +29,8 @@ from .designs import select_knots
 from .errors import ReconstructError
 from .estimators import (
     DEFAULT_LAMBDA_GRID,
+    _gcv_curve,
+    _kriging_spectrum,
     estimate_kernel_params,
     fdp_gcv,
     fit_gprr,
@@ -40,7 +41,7 @@ from .estimators import (
     predict,
     roughness_penalty,
 )
-from .interpolators import KnotSet, design_matrix, gp_basis_build
+from .interpolators import KnotSet, design_matrix, gp_basis_build, regression_matrix
 from .kernels import gaussian_kernel, kernel_matrix
 
 
@@ -265,21 +266,13 @@ def _cmd_gcv_scan(args):
     if args.method == "fdp":
         if d != 1:
             raise ReconstructError("the finite-difference scan expects 1-D data")
-        curve = [fdp_gcv(y, lam) for lam in grid]
+        curve = fdp_gcv(y, grid)
     elif args.method == "krr":
         spec = _kernel_from_args(args, d)
-        evals, Q = eigh(kernel_matrix(spec, X, X))
-        evals = np.clip(evals, 0.0, None)
-        yt = Q.T @ y
-        curve = []
-        for lam in grid:
-            h = evals / (evals + n * lam)
-            tr = float(np.sum(h))
-            rss = float(np.sum((yt * (1 - h)) ** 2))
-            ratio = tr / n
-            curve.append(
-                float("inf") if ratio >= 1 - 1e-12 else rss / (n * (1 - ratio) ** 2)
-            )
+        spectrum, _ = _kriging_spectrum(
+            kernel_matrix(spec, X, X), regression_matrix("none", X), y
+        )
+        curve = _gcv_curve(n, *spectrum.rss_and_dof(grid))
     else:  # gprr with m knots
         if args.m is None:
             raise _UsageError("--m is required for a gprr scan")
@@ -289,7 +282,7 @@ def _cmd_gcv_scan(args):
         basis = gp_basis_build(selection.knots, spec, args.g)
         B = design_matrix(basis, X)
         Sigma = roughness_penalty(basis)
-        curve = [gcv(B, y, lam, Sigma) for lam in grid]
+        curve = gcv(B, y, grid, Sigma)
     payload = {
         "method": args.method,
         "grid": [float(g) for g in grid],

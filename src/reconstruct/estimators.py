@@ -8,6 +8,11 @@ interpolator that rebuilds the curve or surface.  Generic machinery:
 * kernel-parameter estimation by block coordinate descent on the
   unpenalized least-squares objective.
 
+Every lambda search runs through one GCV engine: a fit decomposes its
+smoother once (a :class:`~reconstruct.numerics.SmootherSpectrum`, or the
+exact finite-difference traces of a whole grid), the residuals and traces
+over the grid give the curve, and one plateau rule picks lambda.
+
 Kernel-kind models store, besides the knot values, the trend/kernel
 coefficients (beta, w) of the interpolant, so prediction never has to
 re-invert an ill-conditioned correlation matrix.
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh, solve_triangular
 
 from .designs import ReplicationDesign
 from .errors import (
@@ -49,10 +54,11 @@ from .kernels import (
     spec_to_json,
 )
 from .numerics import (
+    SmootherSpectrum,
     banded_spd_solve,
-    fdp_hat_trace,
+    demmler_reinsch,
+    fdp_residual_and_trace,
     fdp_system,
-    hat_trace,
     spd_factor,
 )
 
@@ -209,31 +215,57 @@ def ridge_reconstruct(B, y, lam, Sigma) -> np.ndarray:
     return gamma
 
 
-def gcv(B, y, lam, Sigma) -> float:
-    """The trace-corrected residual criterion; +inf when the smoother saturates."""
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    Sigma = np.asarray(Sigma, dtype=float)
-    n = B.shape[0]
-    gamma, _ = _ridge(B, y, lam, Sigma)
-    resid = y - B @ gamma
-    tr = hat_trace(B, Sigma, lam)
-    ratio = tr / n
-    if ratio >= 1.0 - 1e-12:
-        return math.inf
-    return float(resid @ resid) / (n * (1.0 - ratio) ** 2)
+def _gcv_curve(n, rss, dof) -> np.ndarray:
+    """GCV = rss / (n (1 - tr/n)^2) over arrays of residual sums of squares
+    and residual degrees of freedom dof = n - tr; +inf where the smoother
+    saturates."""
+    dof = np.asarray(dof, dtype=float)
+    ratio = 1.0 - dof / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curve = np.asarray(rss, dtype=float) / (n * (dof / n) ** 2)
+    return np.where(ratio >= 1.0 - 1e-12, math.inf, curve)
 
 
 def _plateau_argmin(grid, curve) -> int:
     """Largest-lambda index on the minimum plateau of the curve."""
-    curve = np.asarray(curve, dtype=float)
     finite = np.isfinite(curve)
     if not np.any(finite):
         raise SingularSystem("GCV is undefined on the whole grid")
     gmin = np.min(curve[finite])
     tol = abs(gmin) * _GCV_PLATEAU_RTOL
     ok = np.nonzero(finite & (curve <= gmin + tol))[0]
-    return int(ok[np.argmax(np.asarray(grid)[ok])])
+    return int(ok[np.argmax(grid[ok])])
+
+
+def _lambda_plan(lambda_policy, grid):
+    """(lam, None) when lambda is fixed, (None, grid) when GCV searches.
+
+    A one-point grid fixes lambda as-is, without evaluating the criterion.
+    """
+    if not (isinstance(lambda_policy, str) and lambda_policy == "gcv"):
+        return float(lambda_policy), None
+    grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise ValueError("lambda grid must be nonempty")
+    if grid.size == 1:
+        return float(grid[0]), None
+    return None, grid
+
+
+def _gcv_select(grid, curve):
+    """The GCV engine's pick from a curve over the grid: (lam, GCV at lam)."""
+    idx = _plateau_argmin(grid, curve)
+    return float(grid[idx]), float(curve[idx])
+
+
+def gcv(B, y, lam, Sigma):
+    """The trace-corrected residual criterion; +inf when the smoother saturates.
+
+    ``lam`` may be a number or an array; the result has the same shape.
+    """
+    spectrum = demmler_reinsch(B, Sigma, y)
+    curve = _gcv_curve(spectrum.n, *spectrum.rss_and_dof(lam))
+    return curve if np.ndim(lam) else float(curve[0])
 
 
 def select_lambda(B, y, Sigma, grid):
@@ -242,34 +274,11 @@ def select_lambda(B, y, Sigma, grid):
     Returns the chosen lambda and the full curve for reporting.  A
     singleton grid is taken as-is without evaluating the criterion.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("lambda grid must be nonempty")
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    Sigma = np.asarray(Sigma, dtype=float)
-    if grid.size == 1:
-        return float(grid[0]), np.array([math.nan])
-    n = B.shape[0]
-    C = B.T @ B
-    By = B.T @ y
-    curve = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        S = C + n * lam * Sigma
-        try:
-            fac = spd_factor(S)
-        except NotPositiveDefinite:
-            curve[i] = math.inf
-            continue
-        gamma = fac.solve(By)
-        resid = y - B @ gamma
-        ratio = float(np.trace(fac.solve(C))) / n
-        if ratio >= 1.0 - 1e-12:
-            curve[i] = math.inf
-        else:
-            curve[i] = float(resid @ resid) / (n * (1.0 - ratio) ** 2)
-    idx = _plateau_argmin(grid, curve)
-    return float(grid[idx]), curve
+    lam, grid = _lambda_plan("gcv", grid)
+    if grid is None:
+        return lam, np.array([math.nan])
+    curve = gcv(B, y, grid, Sigma)
+    return _gcv_select(grid, curve)[0], curve
 
 
 # ---------------------------------------------------------------------------
@@ -277,70 +286,57 @@ def select_lambda(B, y, Sigma, grid):
 # ---------------------------------------------------------------------------
 
 
+def _kriging_spectrum(R, G, y):
+    """Spectrum of the full-knot kriging smoother and its coefficients.
+
+    The smoother is H = I - n*lam*P, with P the inverse of K = R + n*lam*I
+    restricted to the orthogonal complement of the trend columns G.  With
+    a thin QR of G, the trend directions of the projected R are given the
+    eigenvalue 1 + trace(R), above all others, which keeps them apart from
+    the near-null directions of R; one ``eigh`` then gives the complement's
+    eigenbasis V and the eigenvalues d of the projected R on it as its
+    first n - q eigenpairs.  With no trend this is plain ``eigh(R)``.
+
+    Returns the spectrum and ``coefficients(lam) -> (beta, c, gamma)``:
+    the prediction is g(x)'beta + r_X(x)'c and gamma are the fitted values.
+    """
+    n, q = G.shape
+    Rp = R
+    if q:
+        Q1, Rg = np.linalg.qr(G)
+        RQ = R @ Q1
+        shift = (1.0 + np.trace(R)) * np.eye(q)
+        Rp = R - RQ @ Q1.T - Q1 @ RQ.T + Q1 @ (Q1.T @ RQ + shift) @ Q1.T
+    evals, V = eigh(Rp)
+    d = np.clip(evals[: n - q], 0.0, None)
+    V = V[:, : n - q]
+    z = V.T @ y
+
+    def coefficients(lam):
+        nl = n * lam
+        c = V @ (z / (d + nl))
+        gamma = y - nl * c
+        # y - K c lies in the column space of G: it is G beta
+        beta = solve_triangular(Rg, Q1.T @ (gamma - R @ c)) if q else np.zeros(0)
+        return beta, c, gamma
+
+    return SmootherSpectrum(n=n, d=d, z=z), coefficients
+
+
 def _kriging_full_fit(X, y, spec, g_kind, lambda_policy, grid):
     """GLS trend + kernel smoother on all n points; lambda fixed or by GCV.
 
-    Returns (lam, beta, c, gamma, gcv_value, jitter, curve) where the
-    prediction is g(x)'beta + r_X(x)'c and gamma are the fitted values.
+    Returns (lam, beta, c, gamma, jitter, gcv_value) where the prediction
+    is g(x)'beta + r_X(x)'c and gamma are the fitted values.
     """
-    n = X.shape[0]
     G = regression_matrix(g_kind, X)
-    q = G.shape[1]
     R = kernel_matrix(spec, X, X)
-    if isinstance(lambda_policy, str) and lambda_policy == "gcv":
-        grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(grid)
-        if grid.size == 1:
-            lam, curve = float(grid[0]), np.array([math.nan])
-            return _kriging_full_fixed(X, y, R, G, lam) + (None, curve)
-        evals, Q = eigh(R)
-        evals = np.clip(evals, 0.0, None)
-        yt = Q.T @ y
-        Gt = Q.T @ G
-        curve = np.empty(len(grid))
-        for i, lam in enumerate(grid):
-            dk = evals + n * lam
-            if lam <= 0.0 or np.min(dk) <= 0.0:
-                curve[i] = math.inf
-                continue
-            if q == 0:
-                h = evals / dk
-                rss = float(np.sum((yt * (1.0 - h)) ** 2))
-                tr = float(np.sum(h))
-            else:
-                Kinv_y = yt / dk
-                Kinv_G = Gt / dk[:, None]
-                M = Gt.T @ Kinv_G
-                try:
-                    beta = np.linalg.solve(M, Gt.T @ Kinv_y)
-                    corr = np.trace(np.linalg.solve(M, Kinv_G.T @ Kinv_G))
-                except np.linalg.LinAlgError:
-                    curve[i] = math.inf
-                    continue
-                Py = Kinv_y - Kinv_G @ beta
-                rss = float(np.sum((n * lam * Py) ** 2))
-                tr = n - n * lam * (float(np.sum(1.0 / dk)) - float(corr))
-            ratio = tr / n
-            curve[i] = (
-                math.inf
-                if ratio >= 1.0 - 1e-12
-                else rss / (n * (1.0 - ratio) ** 2)
-            )
-        idx = _plateau_argmin(grid, curve)
-        lam = float(grid[idx])
-        dk = evals + n * lam
-        if q == 0:
-            beta = np.zeros(0)
-            c = Q @ (yt / dk)
-        else:
-            Kinv_G = Gt / dk[:, None]
-            M = Gt.T @ Kinv_G
-            beta = np.linalg.solve(M, Gt.T @ (yt / dk))
-            c = Q @ ((yt - Gt @ beta) / dk)
-        gamma = y - n * lam * c
-        return lam, beta, c, gamma, 0.0, float(curve[idx]), curve
-    lam = float(lambda_policy)
-    out = _kriging_full_fixed(X, y, R, G, lam)
-    return out + (None, None)
+    lam, grid = _lambda_plan(lambda_policy, grid)
+    if grid is None:
+        return _kriging_full_fixed(X, y, R, G, lam) + (None,)
+    spectrum, coefficients = _kriging_spectrum(R, G, y)
+    lam, gval = _gcv_select(grid, _gcv_curve(spectrum.n, *spectrum.rss_and_dof(grid)))
+    return (lam, *coefficients(lam), 0.0, gval)
 
 
 def _kriging_full_fixed(X, y, R, G, lam):
@@ -408,7 +404,7 @@ def fit_gprr(
     full = knots.m == n and np.array_equal(knots.points, X)
     policy = _resolve_policy(lambda_policy, knots.m, n)
     if full:
-        lam, beta, c, gamma, jitter, gval, _ = _kriging_full_fit(
+        lam, beta, c, gamma, jitter, gval = _kriging_full_fit(
             X, y, spec, g_kind, policy, grid
         )
         return FittedModel(
@@ -426,15 +422,11 @@ def fit_gprr(
     basis = gp_basis_build(knots, spec, g_kind)
     B = design_matrix(basis, X)
     Sigma = roughness_penalty(basis)
+    lam, lam_grid = _lambda_plan(policy, grid)
     gval = None
-    if policy == "gcv":
-        lam_grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(grid)
+    if lam_grid is not None:
         lam, curve = select_lambda(B, y, Sigma, lam_grid)
-        at = np.nonzero(lam_grid == lam)[0]
-        if at.size and np.isfinite(curve[at[0]]):
-            gval = float(curve[at[0]])
-    else:
-        lam = float(policy)
+        gval = float(curve[lam_grid == lam][0])
     gamma, jitter = _ridge(B, y, lam, Sigma)
     return FittedModel(
         interpolator="gp",
@@ -469,7 +461,7 @@ def fit_krr(X, y, spec: Optional[KernelSpec] = None, lambda_policy="gcv", grid=N
         policy = "gcv" if lambda_policy in ("gcv", "auto") else 0.0
     else:
         policy = float(lambda_policy)
-    lam, beta, c, gamma, jitter, gval, _ = _kriging_full_fit(
+    lam, beta, c, gamma, jitter, gval = _kriging_full_fit(
         X, y, spec, "none", policy, grid
     )
     return FittedModel(
@@ -505,17 +497,13 @@ class FdpFit:
         return np.asarray(spline_eval(self.spline, x))
 
 
-def fdp_gcv(y, lam) -> float:
-    """GCV of the second-difference ridge at a given lambda."""
+def fdp_gcv(y, lam):
+    """GCV of the second-difference ridge at one lambda or an array of them."""
     y = np.asarray(y, dtype=float).ravel()
     n = y.shape[0]
-    gamma = banded_spd_solve(fdp_system(n, lam), y)
-    resid = y - gamma
-    tr = fdp_hat_trace(n, lam)
-    ratio = float(tr) / n
-    if ratio >= 1.0 - 1e-12:
-        return math.inf
-    return float(resid @ resid) / (n * (1.0 - ratio) ** 2)
+    rss, tr = fdp_residual_and_trace(y, lam)
+    curve = _gcv_curve(n, rss, n - tr)
+    return curve if np.ndim(lam) else float(curve[0])
 
 
 def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
@@ -528,18 +516,10 @@ def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
     n = y.shape[0]
     if n < 3:
         raise DimensionMismatch("the finite-difference fit needs at least 3 points")
+    lam, grid = _lambda_plan(lambda_policy, grid)
     gval = None
-    if isinstance(lambda_policy, str) and lambda_policy == "gcv":
-        grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(grid)
-        if grid.size == 1:
-            lam = float(grid[0])
-        else:
-            curve = np.array([fdp_gcv(y, lam) for lam in grid])
-            idx = _plateau_argmin(grid, curve)
-            lam = float(grid[idx])
-            gval = float(curve[idx])
-    else:
-        lam = float(lambda_policy)
+    if grid is not None:
+        lam, gval = _gcv_select(grid, fdp_gcv(y, grid))
     gamma = banded_spd_solve(fdp_system(n, lam), y)
     x = np.linspace(0.0, 1.0, n)
     return FdpFit(
@@ -588,20 +568,6 @@ class KernelParamsFit:
     model: FittedModel
 
 
-def _chol_ladder(A):
-    """Raw Cholesky with the jitter ladder; returns a cho_solve handle."""
-    scale = float(np.mean(np.diag(A)))
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
-    for level in (0.0, 1e-10, 1e-8):
-        try:
-            M = A if level == 0.0 else A + level * scale * np.eye(A.shape[0])
-            return cho_factor(M, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-    raise NotPositiveDefinite("correlation matrix failed Cholesky at all jitter levels")
-
-
 class _BcdState:
     """Workspace for the least-squares kernel-parameter search.
 
@@ -638,10 +604,10 @@ class _BcdState:
         return self._bufX, self._bufA
 
     def _objective_from_kernels(self, gamma, RXA, RA) -> float:
-        cf = _chol_ladder(RA)
-        s = cho_solve(cf, gamma)
+        fac = spd_factor(RA)
+        s = fac.solve(gamma)
         if self.q:
-            t = cho_solve(cf, self.GA)
+            t = fac.solve(self.GA)
             C = self.GA.T @ t
             try:
                 u = np.linalg.solve(C, self.GA.T @ s)
@@ -658,10 +624,10 @@ class _BcdState:
         return self._objective_from_kernels(gamma, np.exp(-WX), np.exp(-WA))
 
     def gamma_step(self):
-        cf = _chol_ladder(np.exp(-self.WA))
-        Rinv = cho_solve(cf, np.eye(self.m))
+        fac = spd_factor(np.exp(-self.WA))
+        Rinv = fac.solve(np.eye(self.m))
         if self.q:
-            RinvG = cho_solve(cf, self.GA)
+            RinvG = fac.solve(self.GA)
             C = self.GA.T @ RinvG
             U = np.linalg.solve(C.T, RinvG.T).T
             V = Rinv - U @ RinvG.T
@@ -669,10 +635,10 @@ class _BcdState:
         else:
             B = np.exp(-self.WX) @ Rinv
         try:
-            facB = _chol_ladder(B.T @ B)
+            facB = spd_factor(B.T @ B)
         except NotPositiveDefinite as exc:
             raise SingularSystem(str(exc)) from exc
-        gamma = cho_solve(facB, B.T @ self.y)
+        gamma = facB.solve(B.T @ self.y)
         r = self.y - B @ gamma
         return gamma, float(r @ r) / self.n
 

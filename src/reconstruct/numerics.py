@@ -1,8 +1,15 @@
-"""Dense and banded SPD linear algebra with an explicit jitter policy.
+"""Dense and banded SPD linear algebra with an explicit jitter policy, and
+the smoother spectra and traces that GCV is evaluated from.
 
-Every solve in the package funnels through here so that conditioning
-behaviour is uniform: a factorization is attempted with no jitter first,
-then with 1e-10 and 1e-8 times the mean diagonal added to the diagonal.
+Every dense Cholesky factorization in the package goes through
+:func:`spd_factor`, so conditioning behaviour is uniform: a factorization
+is attempted with no jitter first, then with 1e-10 and 1e-8 times the
+mean diagonal added to the diagonal.
+
+A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
+from which its residual and trace at every lambda of a grid follow in
+O(len(d)) each.  The pentadiagonal finite-difference smoother gets its
+exact trace for a whole lambda grid in one O(n) pass.
 """
 
 from __future__ import annotations
@@ -15,29 +22,17 @@ from scipy.linalg import (
     cho_solve,
     cho_solve_banded,
     cholesky_banded,
+    eigh,
+    solve_triangular,
 )
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
 
 JITTER_LADDER = (0.0, 1e-10, 1e-8)
 
-# Fixed seed for the stochastic trace estimator so GCV stays reproducible.
-_HUTCHINSON_SEED = 181351
-_HUTCHINSON_PROBES = 64
-_EXACT_TRACE_LIMIT = 10_000
-
-
-class TraceEstimate(float):
-    """A trace value that knows whether it was estimated stochastically."""
-
-    stochastic: bool
-    n_probes: int | None
-
-    def __new__(cls, value, stochastic=False, n_probes=None):
-        obj = super().__new__(cls, value)
-        obj.stochastic = stochastic
-        obj.n_probes = n_probes
-        return obj
+# Floats of Takahashi multipliers held at once: 3 per point and lambda,
+# so a 50-point grid is one pass up to about 5x10^4 points.
+_TRACE_CHUNK_FLOATS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -158,56 +153,62 @@ def banded_spd_solve(M: BandedSpdMatrix, rhs: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs has {rhs.shape[0]} rows but matrix dimension is {M.dimension}"
         )
+    return cho_solve_banded((_banded_factor(M), False), rhs)
+
+
+def _banded_factor(M: BandedSpdMatrix) -> np.ndarray:
+    """Upper banded Cholesky factor U (U'U = M) in the storage of ``M.ab``."""
     try:
-        cb = cholesky_banded(M.ab)
+        return cholesky_banded(M.ab)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"banded factorization failed: {exc}") from exc
-    return cho_solve_banded((cb, False), rhs)
 
 
-def banded_inverse_diagonal(M: BandedSpdMatrix) -> np.ndarray:
-    """Diagonal of M^{-1} by the Takahashi recurrences, O(n * bandwidth^2).
 
-    Only entries of the inverse on the band are ever formed; the recursion
-    runs over columns from right to left using the banded Cholesky factor.
+
+@dataclass(frozen=True)
+class SmootherSpectrum:
+    """A family of linear smoothers H(lam) on n points, diagonalized once.
+
+    On an orthonormal basis of R^n, I - H(lam) is diagonal: it is
+    s_i = n*lam / (d_i + n*lam) on the directions where y has coordinates
+    ``z``, 1 on ``k0`` further directions that hold residual energy ``e0``,
+    and 0 on the rest.  So at every lambda the residual sum of squares and
+    the residual degrees of freedom are
+
+        rss = sum_i (s_i z_i)^2 + e0,    n - trace(H) = sum_i s_i + k0,
+
+    the latter free of the cancellation in n - trace(H) when H is near I.
     """
-    try:
-        U = cholesky_banded(M.ab)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"banded factorization failed: {exc}") from exc
-    n = M.dimension
-    b = M.bandwidth
-    dU = U[b, :]
-    Dinv = 1.0 / dU**2
 
-    # unit lower-triangular factor entries L[i, j] = U[j, i] / U[j, j], i > j
-    def lval(i: int, j: int) -> float:
-        r = b - (i - j)
-        if r < 0 or i >= n:
-            return 0.0
-        return U[r, i] / dU[j]
+    n: int
+    d: np.ndarray
+    z: np.ndarray
+    e0: float = 0.0
+    k0: int = 0
 
-    # Zu[r, j] stores Z[j - r, j] for the symmetric inverse Z
-    Zu = np.zeros((b + 1, n))
-    for j in range(n - 1, -1, -1):
-        kmax = min(j + b, n - 1)
-        s = 0.0
-        for k in range(j + 1, kmax + 1):
-            s += lval(k, j) * Zu[k - j, k]
-        Zu[0, j] = Dinv[j] - s
-        for i in range(j - 1, max(j - b, 0) - 1, -1):
-            s = 0.0
-            for k in range(i + 1, min(i + b, n - 1) + 1):
-                zkj = Zu[j - k, j] if k <= j else Zu[k - j, k]
-                s += lval(k, i) * zkj
-            Zu[j - i, j] = -s
-    return Zu[0, :]
+    def rss_and_dof(self, lam):
+        """rss and n - trace(H), each an array over lam."""
+        nl = self.n * np.atleast_1d(np.asarray(lam, dtype=float))[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = nl / (self.d + nl)
+        rss = np.sum((s * self.z) ** 2, axis=1) + self.e0
+        return rss, np.sum(s, axis=1) + self.k0
 
 
-def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam: float) -> TraceEstimate:
-    """trace(B (B'B + n*lam*Sigma)^{-1} B') for dense B and Sigma."""
+def demmler_reinsch(B, Sigma, y) -> SmootherSpectrum:
+    """Spectrum of the ridge smoother H(lam) = B (B'B + n*lam*Sigma)^{-1} B'.
+
+    Demmler & Reinsch (1975): with B'B = LL' and L^{-1} Sigma L^{-T} =
+    V diag(mu) V', the columns of B L^{-T} V are orthonormal and H scales
+    them by 1 / (1 + n*lam*mu_i), so d_i = 1/mu_i (infinite on the null
+    space of Sigma); the n - m directions outside the column space of B
+    are pure residual.  A B'B that is not positive definite gets the
+    jitter ladder of :func:`spd_factor`.
+    """
     B = np.asarray(B, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
     if B.ndim != 2:
         raise DimensionMismatch("B must be a 2-D array")
     n, m = B.shape
@@ -215,42 +216,83 @@ def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam: float) -> TraceEstimate:
         raise DimensionMismatch(
             f"Sigma has shape {Sigma.shape}, expected ({m}, {m})"
         )
-    C = B.T @ B
-    S = C + n * lam * Sigma
     try:
-        fac = spd_factor(S)
+        L = spd_factor(B.T @ B).factor
     except NotPositiveDefinite as exc:
         raise SingularSystem(str(exc)) from exc
-    return TraceEstimate(float(np.trace(fac.solve(C))))
+    S = solve_triangular(L, solve_triangular(L, Sigma, lower=True).T, lower=True)
+    mu, V = eigh(0.5 * (S + S.T))
+    W = solve_triangular(L, V, lower=True, trans="T")  # L^{-T} V
+    z = W.T @ (B.T @ y)
+    r = y - B @ (W @ z)
+    with np.errstate(divide="ignore"):
+        d = 1.0 / np.clip(mu, 0.0, None)
+    return SmootherSpectrum(n=n, d=d, z=z, e0=float(r @ r), k0=n - m)
 
 
-def fdp_hat_trace(
-    n: int,
-    lam: float,
-    exact_limit: int = _EXACT_TRACE_LIMIT,
-    n_probes: int = _HUTCHINSON_PROBES,
-) -> TraceEstimate:
+def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
+    """trace(B (B'B + n*lam*Sigma)^{-1} B') for dense B and Sigma.
+
+    ``lam`` may be a number or an array; the result has the same shape.
+    """
+    B = np.asarray(B, dtype=float)
+    dof = demmler_reinsch(B, Sigma, np.zeros(B.shape[0])).rss_and_dof(lam)[1]
+    tr = B.shape[0] - dof
+    return tr if np.ndim(lam) else float(tr[0])
+
+
+def fdp_residual_and_trace(y, lam):
+    """||y - A^{-1} y||^2 and trace(A^{-1}) for A = n*lam*M'M + I, each an
+    array over ``lam``.
+
+    Exact for every n (Hutchinson & de Hoog 1985).  One banded Cholesky
+    factor per lambda gives the residual and the multipliers of the
+    Takahashi recurrence for the diagonal of A^{-1}.  The recurrence then
+    runs once over the n points with every step vectorized across lambda,
+    keeping only the three inverse entries the band needs.  Long grids on
+    many points are taken in chunks of lambda to bound memory.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    rss, tr = np.empty(lams.shape[0]), np.empty(lams.shape[0])
+    step = max(1, _TRACE_CHUNK_FLOATS // (3 * y.shape[0]))
+    for s in range(0, lams.shape[0], step):
+        rss[s : s + step], tr[s : s + step] = _fdp_pass(y, lams[s : s + step])
+    return rss, tr
+
+
+def _fdp_pass(y, lams):
+    """One Takahashi pass of :func:`fdp_residual_and_trace` over all of lams."""
+    n, k = y.shape[0], lams.shape[0]
+    rss = np.empty(k)
+    # A = L D L' with L unit lower: l1[i] = L[i+1, i], l2[i] = L[i+2, i]
+    l1 = np.zeros((n, k))
+    l2 = np.zeros((n, k))
+    dinv = np.empty((n, k))
+    for j, lam_j in enumerate(lams):
+        U = _banded_factor(fdp_system(n, lam_j))
+        r = y - cho_solve_banded((U, False), y)
+        rss[j] = r @ r
+        dinv[:, j] = 1.0 / U[2] ** 2
+        l1[:-1, j] = U[1, 1:] / U[2, :-1]
+        l2[:-2, j] = U[0, 2:] / U[2, :-2]
+    # a = Z[i+1, i+1], b = Z[i+1, i+2], c = Z[i+2, i+2] of Z = A^{-1}
+    a = b = c = np.zeros(k)
+    tr = np.zeros(k)
+    for i in range(n - 1, -1, -1):
+        p, q = l1[i], l2[i]
+        z02 = -(p * b + q * c)
+        z01 = -(p * a + q * b)
+        a, b, c = dinv[i] - (p * z01 + q * z02), z01, a
+        tr += a
+    return rss, tr
+
+
+def fdp_hat_trace(n: int, lam):
     """trace((n*lam*M'M + I)^{-1}) for the pentadiagonal smoothing system.
 
-    Exact via the banded inverse diagonal up to ``exact_limit`` points;
-    beyond that a fixed-seed Hutchinson estimator with Rademacher probes
-    is used and the result is flagged as stochastic.
+    Exact for every n; ``lam`` may be a number or an array, and a whole
+    grid costs one pass (see :func:`fdp_residual_and_trace`).
     """
-    system = fdp_system(n, lam)
-    if n <= exact_limit:
-        return TraceEstimate(float(np.sum(banded_inverse_diagonal(system))))
-    try:
-        cb = cholesky_banded(system.ab)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"banded factorization failed: {exc}") from exc
-    rng = np.random.default_rng(_HUTCHINSON_SEED)
-    total = 0.0
-    chunk = 16
-    done = 0
-    while done < n_probes:
-        k = min(chunk, n_probes - done)
-        Z = rng.integers(0, 2, size=(n, k)).astype(float) * 2.0 - 1.0
-        W = cho_solve_banded((cb, False), Z)
-        total += float(np.einsum("ij,ij->", Z, W))
-        done += k
-    return TraceEstimate(total / n_probes, stochastic=True, n_probes=n_probes)
+    tr = fdp_residual_and_trace(np.zeros(n), lam)[1]
+    return tr if np.ndim(lam) else float(tr[0])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from reconstruct.numerics import fdp_system
 
 
 def f1d(x):
@@ -33,6 +36,19 @@ def separated_points(rng, m, d, min_gap=0.04):
             gap *= 0.7
             tries = 0
     return np.array(pts)
+
+
+def fdp_trace_reference(n, lam, block=512):
+    """trace((I + n*lam*M'M)^{-1}) from banded solves of identity-column
+    blocks, summed on the diagonal."""
+    cb = cholesky_banded(fdp_system(n, lam).ab)
+    total = 0.0
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        E = np.zeros((n, j1 - j0))
+        E[np.arange(j0, j1), np.arange(j1 - j0)] = 1.0
+        total += np.trace(cho_solve_banded((cb, False), E)[j0:j1])
+    return total
 
 
 @pytest.fixture

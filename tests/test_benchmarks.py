@@ -281,7 +281,7 @@ class TestCcppLoading:
 
 class TestSequentialKnots:
     def test_trajectory_on_synthetic_data(self):
-        from reconstruct.benchmarks import Dataset, run_ccpp_sequential
+        from reconstruct.benchmarks import Dataset, run_ccpp
 
         rng = np.random.default_rng(17)
         X = rng.random((300, 3))
@@ -291,7 +291,7 @@ class TestSequentialKnots:
         data = Dataset(X=X, y=y, Xtest=Xt, ytest=f(Xt))
         cfg = ExperimentConfig(m=8, iterations=3, trials=100, seed=6,
                                bcd_max_iter=2)
-        report = run_ccpp_sequential(data, cfg)
+        report = run_ccpp(data, cfg)
         traj = report.per_run
         assert traj[0]["m"] == 8
         ms = [t["m"] for t in traj]

@@ -110,6 +110,21 @@ class TestScansAndKnots:
         payload = json.loads(out.read_text())
         assert len(payload["grid"]) == len(payload["gcv"]) == 9
 
+    def test_gcv_scan_argmin_is_fit_lambda(self, tmp_path, train_csv, capsys):
+        path, _, _ = train_csv
+        curve_out, model_out = tmp_path / "curve.json", tmp_path / "m.json"
+        assert dispatch([
+            "gcv-scan", "--data", str(path), "--method", "krr", "--out", str(curve_out),
+        ]) == 0
+        assert dispatch([
+            "fit", "--data", str(path), "--method", "krr", "--out", str(model_out),
+        ]) == 0
+        payload = json.loads(curve_out.read_text())
+        curve = np.array([np.inf if v is None else v for v in payload["gcv"]])
+        model = json.loads(model_out.read_text())
+        assert payload["grid"][int(np.argmin(curve))] == model["lambda"]
+        assert model["diagnostics"]["gcv"] == np.min(curve)
+
     def test_knots_select(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
         out = tmp_path / "knots.json"
@@ -188,6 +203,27 @@ class TestMoreSurfaces:
         payload = json.loads(out.read_text())
         assert payload["kind"] == "ccpp"
         assert payload["per_run"][0]["m"] == 6
+
+    def test_knots_sequential_with_every_point_a_knot(self, tmp_path, rng, capsys):
+        X = rng.random((12, 2))
+        y = np.sin(4 * X[:, 0]) + 0.1 * rng.normal(size=12)
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,y\n" + "\n".join(
+            f"{float(a)!r},{float(b)!r},{float(c)!r}" for (a, b), c in zip(X, y)) + "\n")
+        out = tmp_path / "traj.json"
+        base = ["knots", "sequential", "--data", str(data), "--m0", "12",
+                "--trials", "50", "--seed", "8", "--out", str(out)]
+        assert dispatch(base + ["--iterations", "0"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["per_run"][0]["m"] == 12
+        assert payload["per_run"][0]["gcv"] is None
+        capsys.readouterr()
+        assert dispatch(base + ["--iterations", "2"]) == 2
+        assert "every candidate already belongs to the knot set" in capsys.readouterr().err
 
     def test_jobs_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RECONSTRUCT_JOBS", "2")

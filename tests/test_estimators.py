@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reconstruct.baselines import _nystrom_spectrum
 from reconstruct.designs import equispaced_knots, replication_design
 from reconstruct.errors import DimensionMismatch, LengthMismatch
 from reconstruct.estimators import (
     FittedModel,
+    _gcv_curve,
+    _kriging_spectrum,
     default_lambda_grid,
     estimate_kernel_params,
     fdp_gcv,
@@ -20,6 +24,7 @@ from reconstruct.estimators import (
     model_to_json,
     predict,
     ridge_reconstruct,
+    roughness_penalty,
     select_lambda,
 )
 from reconstruct.interpolators import (
@@ -27,10 +32,11 @@ from reconstruct.interpolators import (
     design_matrix,
     gp_basis_build,
     kernel_interp_eval,
+    regression_matrix,
 )
 from reconstruct.kernels import default_gaussian, gaussian_kernel, kernel_matrix
 
-from conftest import f1d, random_spd, separated_points
+from conftest import f1d, fdp_trace_reference, random_spd, separated_points
 
 
 class TestRidgeReconstruct:
@@ -470,7 +476,7 @@ class TestMaternPaths:
 
 
 class TestFdpLargeGcv:
-    def test_stochastic_trace_path_selects_sensibly(self):
+    def test_exact_trace_gcv_beyond_ten_thousand(self):
         rng = np.random.default_rng(5)
         n = 12_000
         x = np.linspace(0, 1, n)
@@ -478,6 +484,9 @@ class TestFdpLargeGcv:
         grid = np.logspace(-6, 0, 5)
         fit = fit_fdp(y, "gcv", grid=grid)
         assert fit.lam in grid
+        r = y - fit.gamma_hat
+        expect = float(r @ r) / (n * (1 - fdp_trace_reference(n, fit.lam) / n) ** 2)
+        assert fit.diagnostics.gcv == pytest.approx(expect, rel=1e-10)
         # smoother output: kink energy well below the raw series
         d2 = np.diff(fit.gamma_hat, 2)
         assert np.sum(d2**2) < 0.01 * np.sum(np.diff(y, 2) ** 2)
@@ -497,3 +506,80 @@ class TestModelJsonSchema:
         assert doc["kernel"] == {"family": "gaussian", "theta": [12.5, 12.5]}
         assert len(doc["knots"]) == 20 and len(doc["knots"][0]) == 2
         assert isinstance(doc["lambda"], float)
+
+
+def _brute_gcv(H, y):
+    n = y.shape[0]
+    r = y - H @ y
+    return float(r @ r) / (n * (1 - np.trace(H) / n) ** 2)
+
+
+def _kriging_hat(R, G, lam):
+    """Fitted values G beta + R c of the bordered GLS system, column by column."""
+    n, q = G.shape
+    K = np.block([[R + n * lam * np.eye(n), G], [G.T, np.zeros((q, q))]])
+    sol = np.linalg.solve(K, np.vstack([np.eye(n), np.zeros((q, n))]))
+    return R @ sol[:n] + G @ sol[n:]
+
+
+_GCV_GRID = np.logspace(-4, 0, 5)
+
+
+def _kernel_curves(rng, n, g_kind):
+    X = rng.random((n, 2))
+    y = rng.normal(size=n)
+    R = kernel_matrix(default_gaussian(2), X, X)
+    G = regression_matrix(g_kind, X)
+    spectrum, _ = _kriging_spectrum(R, G, y)
+    curve = _gcv_curve(n, *spectrum.rss_and_dof(_GCV_GRID))
+    return curve, [_brute_gcv(_kriging_hat(R, G, lam), y) for lam in _GCV_GRID]
+
+
+def _subset_curves(rng, n):
+    X = rng.random((n, 2))
+    y = rng.normal(size=n)
+    basis = gp_basis_build(separated_points(rng, n // 3, 2), default_gaussian(2),
+                           "constant+linear")
+    B = design_matrix(basis, X)
+    Sigma = roughness_penalty(basis)
+    brute = [_brute_gcv(B @ np.linalg.solve(B.T @ B + n * lam * Sigma, B.T), y)
+             for lam in _GCV_GRID]
+    return gcv(B, y, _GCV_GRID, Sigma), brute
+
+
+def _nystrom_curves(rng, n):
+    X = rng.random((n, 2))
+    y = rng.normal(size=n)
+    A = separated_points(rng, n // 3, 2)
+    spec = default_gaussian(2)
+    RXA = kernel_matrix(spec, X, A)
+    Rlow = RXA @ np.linalg.solve(kernel_matrix(spec, A, A), RXA.T)
+    G = regression_matrix("constant+linear", X)
+    spectrum, _, _ = _nystrom_spectrum(X, y, A, spec, "constant+linear")
+    curve = _gcv_curve(n, *spectrum.rss_and_dof(_GCV_GRID))
+    return curve, [_brute_gcv(_kriging_hat(Rlow, G, lam), y) for lam in _GCV_GRID]
+
+
+def _fdp_curves(rng, n):
+    y = rng.normal(size=n)
+    M = np.diff(np.eye(n), 2, axis=0)
+    brute = [_brute_gcv(np.linalg.inv(np.eye(n) + n * lam * M.T @ M), y)
+             for lam in _GCV_GRID]
+    return fdp_gcv(y, _GCV_GRID), brute
+
+
+class TestGcvEngineProperties:
+    """Every smoother spectrum gives the brute-force hat-matrix GCV curve."""
+
+    @pytest.mark.parametrize("builder", [
+        lambda rng, n: _kernel_curves(rng, n, "none"),
+        lambda rng, n: _kernel_curves(rng, n, "constant+linear"),
+        _subset_curves,
+        _nystrom_curves,
+        _fdp_curves,
+    ], ids=["krr", "gpr", "subset-gprr", "nystrom", "fdp"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 40))
+    def test_curve_matches_brute_force(self, builder, seed, n):
+        curve, brute = builder(np.random.default_rng(seed), n)
+        np.testing.assert_allclose(curve, brute, rtol=1e-8)

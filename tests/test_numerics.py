@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from reconstruct import numerics
 from reconstruct.errors import DimensionMismatch, NotPositiveDefinite
 from reconstruct.numerics import (
     BandedSpdMatrix,
-    TraceEstimate,
-    banded_inverse_diagonal,
     banded_spd_solve,
     fdp_hat_trace,
     fdp_system,
@@ -15,7 +14,7 @@ from reconstruct.numerics import (
     spd_solve,
 )
 
-from conftest import random_spd
+from conftest import fdp_trace_reference, random_spd
 
 
 def second_difference_dense(n):
@@ -106,10 +105,12 @@ class TestBandedSolve:
 class TestInverseDiagonal:
     @pytest.mark.parametrize("n,lam", [(10, 0.5), (50, 0.07), (200, 0.07)])
     def test_matches_dense_inverse(self, n, lam):
+        # the batched trace, over a grid around lam, against dense inverses
         M = second_difference_dense(n)
-        dense = np.eye(n) + n * lam * M.T @ M
-        diag = banded_inverse_diagonal(fdp_system(n, lam))
-        np.testing.assert_allclose(diag, np.diag(np.linalg.inv(dense)), atol=1e-10)
+        lams = lam * np.array([1e-3, 1.0, 1e3])
+        expect = [np.trace(np.linalg.inv(np.eye(n) + n * l * M.T @ M)) for l in lams]
+        np.testing.assert_allclose(fdp_hat_trace(n, lams), expect, rtol=1e-10)
+        assert fdp_hat_trace(n, lam) == pytest.approx(expect[1], rel=1e-10)
 
 
 class TestHatTrace:
@@ -139,17 +140,18 @@ class TestHatTrace:
         H = np.linalg.inv(np.eye(n) + n * lam * M.T @ M)
         got = fdp_hat_trace(n, lam)
         assert abs(got - np.trace(H)) / np.trace(H) < 1e-8
-        assert got.stochastic is False
         # the same quantity through the dense op surface
         got_dense = hat_trace(np.eye(n), M.T @ M, lam)
         assert abs(got_dense - np.trace(H)) / np.trace(H) < 1e-8
 
-    def test_fdp_stochastic_path(self):
-        n, lam = 400, 0.05
-        exact = fdp_hat_trace(n, lam)
-        est = fdp_hat_trace(n, lam, exact_limit=100)
-        assert est.stochastic and est.n_probes == 64
-        assert isinstance(est, TraceEstimate) and isinstance(est, float)
-        assert abs(est - exact) / exact < 0.05
-        # fixed seed: bit-identical rerun
-        assert fdp_hat_trace(n, lam, exact_limit=100) == est
+    def test_fdp_trace_in_lambda_chunks(self, monkeypatch):
+        n, lams = 300, np.logspace(-6, 2, 7)
+        whole = fdp_hat_trace(n, lams)
+        monkeypatch.setattr(numerics, "_TRACE_CHUNK_FLOATS", 3 * n * 2)
+        np.testing.assert_array_equal(fdp_hat_trace(n, lams), whole)
+
+    def test_fdp_exact_beyond_ten_thousand(self):
+        n = 12_000
+        lams = np.array([1e-8, 1e-3, 1e2])
+        expect = [fdp_trace_reference(n, lam) for lam in lams]
+        np.testing.assert_allclose(fdp_hat_trace(n, lams), expect, rtol=1e-10)
