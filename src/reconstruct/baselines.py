@@ -3,7 +3,9 @@ low-rank speed-up, the sparse pseudo-input GP, and the quasi-posterior
 estimator that coincides with reconstruction regression.
 
 The low-rank paths (Nystrom, SPGP, quasi-posterior, variance search)
-work entirely with n x m and m x m arrays; no n x n matrix is formed.
+all start from one whitened cross-kernel P = R_XA L_A^{-T} and work
+entirely with n x m and m x m arrays; no n x n matrix and no inverse of
+R_A is formed.  SPGP and the quasi-posterior share one m x m ridge solve.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from .errors import DegenerateData, SingularSystem, NotPositiveDefinite
 from .estimators import (
     FitDiagnostics,
     FittedModel,
+    _as_xy,
     _gcv_curve,
     _gcv_select,
-    _kriging_full_fit,
+    _kriging_full_model,
     _lambda_plan,
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
@@ -59,41 +62,41 @@ def fit_gpr(
     grid=None,
 ) -> FittedModel:
     """Kriging smoother with GLS trend on all n points, lambda by GCV."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    lam, beta, c, gamma, jitter, gval = _kriging_full_fit(
-        X, y, spec, g_kind, lambda_policy, grid
-    )
-    return FittedModel(
-        interpolator="gp",
-        knots=KnotSet(X),
-        gamma_hat=gamma,
-        lam=lam,
-        kernel=spec,
-        g_kind=g_kind,
-        beta=beta,
-        w=c,
-        method="gpr",
-        diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
-    )
+    X, y = _as_xy(X, y)
+    return _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, "gpr")
+
+
+def _whitened_cross(X, A, spec):
+    """The knots, the factor L_A of R_A = L_A L_A', and P = R_XA L_A^{-T}.
+
+    P P' = R_XA R_A^{-1} R_XA' is the low-rank surrogate of the Gram matrix
+    that every low-rank baseline uses.
+    """
+    knots = as_knots(A)
+    facA = spd_factor(kernel_matrix(spec, knots.points, knots.points))
+    P = solve_triangular(facA.factor, kernel_matrix(spec, X, knots.points).T, lower=True).T
+    return knots, facA, P
+
+
+def _residual_diag(P):
+    """Diagonal of R_X - P P', the variance the low-rank surrogate drops."""
+    return np.clip(1.0 - np.einsum("ij,ij->i", P, P), 0.0, None)
 
 
 def _nystrom_spectrum(X, y, A, spec, g_kind):
     """Spectrum of the low-rank GPR smoother and its coefficients.
 
-    The Gram matrix is replaced by P P' with P = R_XA L_A^{-T} (R_A = L_A
-    L_A').  A thin SVD U S W' of P with the trend columns projected out
-    gives the smoother's spectrum without any n x n array: d = S^2 on U,
-    and the other n - q - m directions orthogonal to the trend carry
-    d = 0, so they are pure residual at every lambda.
+    The Gram matrix is replaced by P P' (see :func:`_whitened_cross`).  A
+    thin SVD U S W' of P with the trend columns projected out gives the
+    smoother's spectrum without any n x n array: d = S^2 on U, and the
+    other n - q - m directions orthogonal to the trend carry d = 0, so they
+    are pure residual at every lambda.
 
     Returns the spectrum, ``coefficients(lam) -> (beta, alpha)`` with the
     prediction g(x)'beta + r_X(x)'alpha, and the jitter put on R_A.
     """
     n = X.shape[0]
-    Ak = as_knots(A)
-    facA = spd_factor(kernel_matrix(spec, Ak.points, Ak.points))
-    P = solve_triangular(facA.factor, kernel_matrix(spec, X, Ak.points).T, lower=True).T
+    knots, facA, P = _whitened_cross(X, A, spec)
     G = regression_matrix(g_kind, X)
     q = G.shape[1]
     Pp, yp = P, y
@@ -116,7 +119,7 @@ def _nystrom_spectrum(X, y, A, spec, g_kind):
         # G beta = y - K alpha with K = P P' + n*lam*I
         return solve_triangular(Rg, Q1.T @ (y - P @ (P.T @ alpha) - nl * alpha)), alpha
 
-    spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(rest @ rest), k0=n - q - Ak.m)
+    spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(rest @ rest), k0=n - q - knots.m)
     return spectrum, coefficients, facA.jitter_applied
 
 
@@ -133,8 +136,7 @@ def fit_nystrom(
     R_XA R_A^{-1} R_XA', decomposed once in O(m^2 n), and prediction keeps
     the exact cross-kernel values.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _as_xy(X, y)
     n = X.shape[0]
     spectrum, coefficients, jitter = _nystrom_spectrum(X, y, A, spec, g_kind)
     lam, grid = _lambda_plan(lambda_policy, grid)
@@ -164,15 +166,38 @@ def fit_nystrom(
     )
 
 
-def _low_rank_pieces(X, A, spec):
-    Ak = as_knots(A)
-    RXA = kernel_matrix(spec, X, Ak.points)
-    RA = kernel_matrix(spec, Ak.points, Ak.points)
-    facA = spd_factor(RA)
-    Bm = facA.solve(RXA.T).T  # R_XA R_A^{-1}
-    # diagonal of the discarded low-rank residual, clamped at zero
-    lam_diag = np.clip(1.0 - np.einsum("ij,ij->i", RXA, Bm), 0.0, None)
-    return Ak, RXA, RA, facA, Bm, lam_diag
+def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:
+    """Knot values of the sparse GP ("spgp") or the quasi-posterior ("eb").
+
+    With residual weights W = diag(1 / (tau^2 r + sigma^2)), r the dropped
+    variance of :func:`_residual_diag` for the sparse GP and zero for the
+    quasi-posterior, the knot values minimize the W-weighted least squares
+    plus the kernel-norm penalty gamma'R_A^{-1}gamma / tau^2.  In the
+    whitened coordinates gamma = L_A v this is the m x m ridge system
+    (P'WP + I/tau^2) v = P'Wy, and the kernel weights are w = L_A^{-T} v.
+    """
+    X, y = _as_xy(X, y)
+    knots, facA, P = _whitened_cross(X, A, spec)
+    r = _residual_diag(P) if method == "spgp" else np.zeros(X.shape[0])
+    weights = 1.0 / (vp.tau2 * r + vp.sigma2)
+    S = P.T @ (weights[:, None] * P) + np.eye(knots.m) / vp.tau2
+    try:
+        facS = spd_factor(0.5 * (S + S.T))
+    except NotPositiveDefinite as exc:
+        raise SingularSystem(str(exc)) from exc
+    v = facS.solve(P.T @ (weights * y))
+    return FittedModel(
+        interpolator="kernel",
+        knots=knots,
+        gamma_hat=facA.factor @ v,
+        lam=vp.ridge_weight / X.shape[0],
+        kernel=spec,
+        g_kind="none",
+        beta=None,
+        w=solve_triangular(facA.factor, v, lower=True, trans="T"),
+        method=method,
+        diagnostics=FitDiagnostics(jitter=max(facA.jitter_applied, facS.jitter_applied)),
+    )
 
 
 def fit_spgp(X, y, A, spec: KernelSpec, vp: VarianceParams) -> FittedModel:
@@ -182,56 +207,13 @@ def fit_spgp(X, y, A, spec: KernelSpec, vp: VarianceParams) -> FittedModel:
     kernel-norm penalty scaled by the noise-to-signal ratio; prediction
     is the kernel interpolant through the estimated knot values.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    Ak, RXA, RA, facA, Bm, lam_diag = _low_rank_pieces(X, A, spec)
-    weights = 1.0 / (vp.tau2 * lam_diag + vp.sigma2)
-    RAinv = facA.solve(np.eye(Ak.m))
-    S = Bm.T @ (weights[:, None] * Bm) + RAinv / vp.tau2
-    try:
-        facS = spd_factor(0.5 * (S + S.T))
-    except NotPositiveDefinite as exc:
-        raise SingularSystem(str(exc)) from exc
-    gamma = facS.solve(Bm.T @ (weights * y))
-    return FittedModel(
-        interpolator="kernel",
-        knots=Ak,
-        gamma_hat=gamma,
-        lam=vp.ridge_weight / X.shape[0],
-        kernel=spec,
-        g_kind="none",
-        beta=None,
-        w=facA.solve(gamma),
-        method="spgp",
-        diagnostics=FitDiagnostics(jitter=max(facA.jitter_applied, facS.jitter_applied)),
-    )
+    return _sparse_gp_fit(X, y, A, spec, vp, "spgp")
 
 
 def fit_empirical_bayes(X, y, A, spec: KernelSpec, vp: VarianceParams) -> FittedModel:
     """Quasi-posterior mode: like the sparse GP but without the diagonal
     correction, so the residual weight is constant 1/sigma^2."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    Ak, RXA, RA, facA, Bm, _ = _low_rank_pieces(X, A, spec)
-    RAinv = facA.solve(np.eye(Ak.m))
-    S = Bm.T @ Bm + vp.ridge_weight * RAinv
-    try:
-        facS = spd_factor(0.5 * (S + S.T))
-    except NotPositiveDefinite as exc:
-        raise SingularSystem(str(exc)) from exc
-    gamma = facS.solve(Bm.T @ y)
-    return FittedModel(
-        interpolator="kernel",
-        knots=Ak,
-        gamma_hat=gamma,
-        lam=vp.ridge_weight / X.shape[0],
-        kernel=spec,
-        g_kind="none",
-        beta=None,
-        w=facA.solve(gamma),
-        method="eb",
-        diagnostics=FitDiagnostics(jitter=max(facA.jitter_applied, facS.jitter_applied)),
-    )
+    return _sparse_gp_fit(X, y, A, spec, vp, "eb")
 
 
 def estimate_variances(X, y, A, spec: KernelSpec, grid_points: int = 20) -> VarianceParams:
@@ -242,19 +224,14 @@ def estimate_variances(X, y, A, spec: KernelSpec, grid_points: int = 20) -> Vari
     signal ratio through one m x m system per distinct ratio, so the
     400-cell grid costs only 2 * grid_points - 1 such systems.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _as_xy(X, y)
     n = X.shape[0]
     vy = float(np.var(y))
     if vy <= 0.0:
         raise DegenerateData("response has zero variance")
-    Ak = as_knots(A)
-    m = Ak.m
-    RXA = kernel_matrix(spec, X, Ak.points)
-    RA = kernel_matrix(spec, Ak.points, Ak.points)
-    facA = spd_factor(RA)
-    P = solve_triangular(facA.factor, RXA.T, lower=True).T  # R_XA L^{-T}
-    lam_diag = np.clip(1.0 - np.einsum("ij,ij->i", P, P), 0.0, None)
+    knots, _, P = _whitened_cross(X, A, spec)
+    m = knots.m
+    lam_diag = _residual_diag(P)
     grid = np.logspace(-4.0, 4.0, grid_points) * vy
     # cache per distinct ratio index difference: rho = grid[i] / grid[j]
     cache: dict[int, tuple[float, float]] = {}

@@ -20,7 +20,15 @@ import numpy as np
 from scipy.special import ndtri
 
 from .baselines import estimate_variances, fit_gpr, fit_nystrom, fit_spgp
-from .designs import chebyshev_knots, equispaced_knots, next_knot, replication_design, select_knots
+from .designs import (
+    DEFAULT_SUBSET_TRIALS,
+    chebyshev_knots,
+    default_knot_count,
+    equispaced_knots,
+    next_knot,
+    replication_design,
+    select_knots,
+)
 from .errors import BadSchema, DimensionMismatch, UnknownFunction
 from .estimators import (
     _gcv_curve,
@@ -30,7 +38,7 @@ from .estimators import (
     fit_replication,
     predict,
 )
-from .kernels import default_gaussian
+from .kernels import DEFAULT_GAUSSIAN_RATE, default_gaussian, gaussian_kernel
 from .interpolators import KnotSet
 
 # ---------------------------------------------------------------------------
@@ -221,10 +229,10 @@ class ExperimentConfig:
     test_size: int = 2000
     seed: Optional[int] = None
     lambda_grid: Optional[list] = None
-    theta: Optional[float] = 12.5
+    theta: Optional[float] = DEFAULT_GAUSSIAN_RATE
     estimate_theta: bool = False
     ackley_standard: bool = False
-    trials: int = 20_000
+    trials: int = DEFAULT_SUBSET_TRIALS
     bcd_max_iter: int = 10
     bcd_tol: float = 1e-3
     iterations: int = 15
@@ -297,11 +305,8 @@ def _table1_rep(cfg_dict: dict, rep: int) -> dict:
     rng_test = np.random.default_rng(test_ss)
     Xtest = rng_test.random((cfg.test_size, train.X.shape[1]))
     truth = test_function(cfg.function, Xtest, cfg.ackley_standard)
-    spec = default_gaussian(train.X.shape[1]) if cfg.theta is None else None
-    if spec is None:
-        from .kernels import gaussian_kernel
-
-        spec = gaussian_kernel(np.full(train.X.shape[1], cfg.theta))
+    d = train.X.shape[1]
+    spec = default_gaussian(d) if cfg.theta is None else gaussian_kernel(np.full(d, cfg.theta))
     grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
     out = {"rep": rep, "mse": {}, "lambda": {}, "failed": {}}
     for method in cfg.methods:
@@ -375,14 +380,14 @@ def _table3_outer(cfg_dict: dict, outer: int) -> dict:
     Xtest = rng_test.random((cfg.test_size, train.X.shape[1]))
     truth = test_function(cfg.function, Xtest)
     rng_subset = np.random.default_rng(subset_ss)
-    m = cfg.m or 10 * train.X.shape[1]
+    m = cfg.m or default_knot_count(train.X.shape[1])
     grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
     inner_runs = []
     for inner in range(cfg.inner_draws):
         idx = np.sort(rng_subset.choice(cfg.n, size=m, replace=False))
         A = KnotSet(train.X[idx])
         rec = {"inner": inner, "indices": idx.tolist(), "mse": {}, "failed": {}}
-        theta0 = np.full(train.X.shape[1], cfg.theta if cfg.theta else 12.5)
+        theta0 = np.full(train.X.shape[1], cfg.theta or DEFAULT_GAUSSIAN_RATE)
         try:
             kp = estimate_kernel_params(
                 train.X,
@@ -574,11 +579,11 @@ def run_ccpp(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
     t0 = time.perf_counter()
     X, y = dataset.X, dataset.y
     n, d = X.shape
-    m0 = config.m or 10 * d
+    m0 = config.m or default_knot_count(d)
     rngs = _spawn_rngs(config.seed, ["select"])
     selection = select_knots(X, m0, trials=config.trials, seed=rngs["select"])
     indices = selection.indices.copy()
-    theta0 = np.full(d, config.theta if config.theta else 12.5)
+    theta0 = np.full(d, config.theta or DEFAULT_GAUSSIAN_RATE)
     kp = estimate_kernel_params(
         X, y, selection.knots, "constant+linear", theta0,
         max_iter=config.bcd_max_iter, tol=config.bcd_tol,

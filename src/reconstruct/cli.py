@@ -25,7 +25,7 @@ from .benchmarks import (
     run_table1,
     run_table3,
 )
-from .designs import select_knots
+from .designs import DEFAULT_SUBSET_TRIALS, default_knot_count, select_knots
 from .errors import ReconstructError
 from .estimators import (
     DEFAULT_LAMBDA_GRID,
@@ -42,7 +42,7 @@ from .estimators import (
     roughness_penalty,
 )
 from .interpolators import KnotSet, design_matrix, gp_basis_build, regression_matrix
-from .kernels import gaussian_kernel, kernel_matrix
+from .kernels import default_gaussian, gaussian_kernel, kernel_matrix
 
 
 class _UsageError(Exception):
@@ -99,9 +99,7 @@ def _parse_lambda(text):
 
 def _kernel_from_args(args, d):
     theta = getattr(args, "theta", None)
-    if theta is None:
-        theta = 12.5
-    return gaussian_kernel(np.full(d, float(theta)))
+    return default_gaussian(d) if theta is None else gaussian_kernel(np.full(d, float(theta)))
 
 
 def _require_seed(args):
@@ -123,7 +121,7 @@ def _build_parser():
     fit.add_argument("--estimate-theta", action="store_true")
     fit.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
     fit.add_argument("--lambda", dest="lam", default=None, help="gcv | none | value")
-    fit.add_argument("--trials", type=int, default=20000)
+    fit.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
     fit.add_argument("--seed", type=int, default=None)
     fit.add_argument("--out", required=True)
 
@@ -147,7 +145,7 @@ def _build_parser():
     ksel = ksub.add_parser("select")
     ksel.add_argument("--data", required=True)
     ksel.add_argument("--m", type=int, required=True)
-    ksel.add_argument("--trials", type=int, default=20000)
+    ksel.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
     ksel.add_argument("--seed", type=int, default=None)
     ksel.add_argument("--out", required=True)
     kseq = ksub.add_parser("sequential")
@@ -155,7 +153,7 @@ def _build_parser():
     kseq.add_argument("--test", default=None)
     kseq.add_argument("--m0", type=int, default=None)
     kseq.add_argument("--iterations", type=int, default=15)
-    kseq.add_argument("--trials", type=int, default=20000)
+    kseq.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
     kseq.add_argument("--seed", type=int, default=None)
     kseq.add_argument("--out", required=True)
 
@@ -196,7 +194,7 @@ def _build_parser():
     bc.add_argument("--data", required=True)
     bc.add_argument("--m", type=int, default=40)
     bc.add_argument("--iterations", type=int, default=15)
-    bc.add_argument("--trials", type=int, default=20000)
+    bc.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
     common(bc)
 
     insp = sub.add_parser("inspect", help="print a model summary")
@@ -310,7 +308,7 @@ def _cmd_knots(args):
     if args.test:
         Xt, yt = _read_xy(args.test)
     config = ExperimentConfig(
-        m=args.m0 or 10 * X.shape[1],
+        m=args.m0 or default_knot_count(X.shape[1]),
         iterations=args.iterations,
         trials=args.trials,
         seed=args.seed,

@@ -50,4 +50,8 @@ class UnknownFunction(ReconstructError):
 
 
 class BadSchema(ReconstructError):
-    """An input file does not match the expected column layout."""
+    """An input file or stored model does not match the expected layout."""
+
+
+class NonFiniteInput(ReconstructError):
+    """Training inputs or responses contain NaN or infinite values."""

@@ -29,10 +29,12 @@ from scipy.linalg import eigh, solve_triangular
 
 from .designs import ReplicationDesign
 from .errors import (
+    BadSchema,
     DimensionMismatch,
     LengthMismatch,
-    SingularSystem,
+    NonFiniteInput,
     NotPositiveDefinite,
+    SingularSystem,
 )
 from .interpolators import (
     GPBasis,
@@ -47,6 +49,7 @@ from .interpolators import (
     spline_eval,
 )
 from .kernels import (
+    DEFAULT_GAUSSIAN_RATE,
     KernelSpec,
     default_gaussian,
     kernel_matrix,
@@ -66,6 +69,7 @@ from .numerics import (
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 2.0, 50)
 
 _GCV_PLATEAU_RTOL = 1e-8
+_GOLDEN_EVALS = 40  # objective evaluations per rate line search
 _PREDICT_CHUNK_FLOATS = 4_000_000
 
 
@@ -101,6 +105,18 @@ class FittedModel:
     w: Optional[np.ndarray] = None
     method: Optional[str] = None
     diagnostics: FitDiagnostics = field(default_factory=FitDiagnostics)
+
+
+def _as_xy(X, y):
+    """Training inputs as an (n, d) array and n responses, all finite."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if y.shape[0] != X.shape[0]:
+        raise LengthMismatch(f"y has {y.shape[0]} entries, X has {X.shape[0]} rows")
+    for name, a in (("X", X), ("y", y)):
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteInput(f"{name} has {np.count_nonzero(~np.isfinite(a))} NaN or inf entries")
+    return X, y
 
 
 def predict(model: FittedModel, Xstar) -> np.ndarray:
@@ -157,19 +173,36 @@ def model_to_json(model: FittedModel) -> dict:
 
 
 def model_from_json(obj: dict) -> FittedModel:
-    def arr(v):
-        return None if v is None else np.asarray(v, dtype=float)
+    """Rebuild a stored model, checking every array against its knots."""
+    knots = KnotSet(np.asarray(obj["knots"], dtype=float))
+    kernel = None if obj.get("kernel") is None else spec_from_json(obj["kernel"])
+    if kernel is not None and kernel.d not in (None, knots.d):
+        raise BadSchema(f"model field 'kernel' has {kernel.d} rates, knots have {knots.d} coordinates")
+    g_kind = obj.get("g_kind")
+    q = regression_matrix(g_kind or "none", knots.points[:1]).shape[1]
 
+    def arr(name, size):
+        v = obj.get(name)
+        if v is None:
+            return None
+        a = np.asarray(v, dtype=float)
+        if a.shape != (size,):
+            raise BadSchema(f"model field {name!r} has shape {a.shape}, expected ({size},)")
+        return a
+
+    w = arr("w", knots.m)
+    if obj["interpolator"] in ("kernel", "gp") and (w is None or kernel is None):
+        raise BadSchema("a kernel model needs the fields 'w' and 'kernel'")
     diag = obj.get("diagnostics") or {}
     return FittedModel(
         interpolator=obj["interpolator"],
-        knots=KnotSet(np.asarray(obj["knots"], dtype=float)),
-        gamma_hat=arr(obj.get("gamma_hat")),
+        knots=knots,
+        gamma_hat=arr("gamma_hat", knots.m),
         lam=float(obj["lambda"]),
-        kernel=None if obj.get("kernel") is None else spec_from_json(obj["kernel"]),
-        g_kind=obj.get("g_kind"),
-        beta=arr(obj.get("beta")),
-        w=arr(obj.get("w")),
+        kernel=kernel,
+        g_kind=g_kind,
+        beta=arr("beta", q),
+        w=w,
         method=obj.get("method"),
         diagnostics=FitDiagnostics(
             gcv=diag.get("gcv"),
@@ -323,40 +356,39 @@ def _kriging_spectrum(R, G, y):
     return SmootherSpectrum(n=n, d=d, z=z), coefficients
 
 
-def _kriging_full_fit(X, y, spec, g_kind, lambda_policy, grid):
+def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> FittedModel:
     """GLS trend + kernel smoother on all n points; lambda fixed or by GCV.
 
-    Returns (lam, beta, c, gamma, jitter, gcv_value) where the prediction
-    is g(x)'beta + r_X(x)'c and gamma are the fitted values.
+    The prediction is g(x)'beta + r_X(x)'c and the knot values are the
+    fitted values.  Kernel ridge ("krr") is stored as a trend-free kernel
+    interpolant.
     """
+    n = X.shape[0]
     G = regression_matrix(g_kind, X)
     R = kernel_matrix(spec, X, X)
     lam, grid = _lambda_plan(lambda_policy, grid)
+    gval, jitter = None, 0.0
     if grid is None:
-        return _kriging_full_fixed(X, y, R, G, lam) + (None,)
-    spectrum, coefficients = _kriging_spectrum(R, G, y)
-    lam, gval = _gcv_select(grid, _gcv_curve(spectrum.n, *spectrum.rss_and_dof(grid)))
-    return (lam, *coefficients(lam), 0.0, gval)
-
-
-def _kriging_full_fixed(X, y, R, G, lam):
-    n = X.shape[0]
-    q = G.shape[1]
-    K = R if lam == 0.0 else R + n * lam * np.eye(n)
-    fac = spd_factor(K)
-    if q == 0:
-        beta = np.zeros(0)
-        c = fac.solve(y)
+        fac = spd_factor(R if lam == 0.0 else R + n * lam * np.eye(n))
+        beta, c = fac.gls(G, y)
+        gamma, jitter = y - n * lam * c, fac.jitter_applied
     else:
-        KinvG = fac.solve(G)
-        M = G.T @ KinvG
-        try:
-            beta = np.linalg.solve(M, G.T @ fac.solve(y))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"GLS trend system is singular: {exc}") from exc
-        c = fac.solve(y - G @ beta)
-    gamma = y - n * lam * c
-    return lam, beta, c, gamma, fac.jitter_applied
+        spectrum, coefficients = _kriging_spectrum(R, G, y)
+        lam, gval = _gcv_select(grid, _gcv_curve(n, *spectrum.rss_and_dof(grid)))
+        beta, c, gamma = coefficients(lam)
+    krr = method == "krr"
+    return FittedModel(
+        interpolator="kernel" if krr else "gp",
+        knots=KnotSet(X),
+        gamma_hat=gamma,
+        lam=lam,
+        kernel=spec,
+        g_kind=g_kind,
+        beta=None if krr else beta,
+        w=c,
+        method=method,
+        diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +408,27 @@ def _resolve_policy(lambda_policy, m, n):
     return float(lambda_policy)
 
 
+def _basis_model(basis: GPBasis, gamma, lam, gcv=None, jitter=0.0, iterations=0) -> FittedModel:
+    """The gprr model with knot values gamma on a kriging basis; the jitter
+    reported is the larger of ``jitter`` and the basis's own."""
+    return FittedModel(
+        interpolator="gp",
+        knots=basis.knots,
+        gamma_hat=gamma,
+        lam=lam,
+        kernel=basis.spec,
+        g_kind=basis.g_kind,
+        beta=basis.U.T @ gamma,
+        w=basis.V @ gamma,
+        method="gprr",
+        diagnostics=FitDiagnostics(
+            gcv=gcv,
+            jitter=max(jitter, basis.R_A_factor.jitter_applied),
+            iterations=iterations,
+        ),
+    )
+
+
 def fit_gprr(
     X,
     y,
@@ -393,32 +446,14 @@ def fit_gprr(
     the design matrix of the interpolation basis and the roughness penalty
     induced by its kernel part.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _as_xy(X, y)
     n, d = X.shape
-    if y.shape[0] != n:
-        raise LengthMismatch("y must have one entry per row of X")
     if spec is None:
         spec = default_gaussian(d)
     knots = KnotSet(X) if A is None else as_knots(A)
-    full = knots.m == n and np.array_equal(knots.points, X)
     policy = _resolve_policy(lambda_policy, knots.m, n)
-    if full:
-        lam, beta, c, gamma, jitter, gval = _kriging_full_fit(
-            X, y, spec, g_kind, policy, grid
-        )
-        return FittedModel(
-            interpolator="gp",
-            knots=knots,
-            gamma_hat=gamma,
-            lam=lam,
-            kernel=spec,
-            g_kind=g_kind,
-            beta=beta,
-            w=c,
-            method="gprr",
-            diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
-        )
+    if knots.m == n and np.array_equal(knots.points, X):
+        return _kriging_full_model(X, y, spec, g_kind, policy, grid, "gprr")
     basis = gp_basis_build(knots, spec, g_kind)
     B = design_matrix(basis, X)
     Sigma = roughness_penalty(basis)
@@ -428,20 +463,7 @@ def fit_gprr(
         lam, curve = select_lambda(B, y, Sigma, lam_grid)
         gval = float(curve[lam_grid == lam][0])
     gamma, jitter = _ridge(B, y, lam, Sigma)
-    return FittedModel(
-        interpolator="gp",
-        knots=knots,
-        gamma_hat=gamma,
-        lam=lam,
-        kernel=spec,
-        g_kind=g_kind,
-        beta=basis.U.T @ gamma,
-        w=basis.V @ gamma,
-        method="gprr",
-        diagnostics=FitDiagnostics(
-            gcv=gval, jitter=max(jitter, basis.R_A_factor.jitter_applied)
-        ),
-    )
+    return _basis_model(basis, gamma, lam, gcv=gval, jitter=jitter)
 
 
 def fit_krr(X, y, spec: Optional[KernelSpec] = None, lambda_policy="gcv", grid=None) -> FittedModel:
@@ -450,32 +472,14 @@ def fit_krr(X, y, spec: Optional[KernelSpec] = None, lambda_policy="gcv", grid=N
     The knot values are the fitted values at the training points and the
     stored kernel coefficients reproduce y'(R_X + n*lam*I)^{-1} r_X(x).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n, d = X.shape
-    if y.shape[0] != n:
-        raise LengthMismatch("y must have one entry per row of X")
+    X, y = _as_xy(X, y)
     if spec is None:
-        spec = default_gaussian(d)
+        spec = default_gaussian(X.shape[1])
     if isinstance(lambda_policy, str):
         policy = "gcv" if lambda_policy in ("gcv", "auto") else 0.0
     else:
         policy = float(lambda_policy)
-    lam, beta, c, gamma, jitter, gval = _kriging_full_fit(
-        X, y, spec, "none", policy, grid
-    )
-    return FittedModel(
-        interpolator="kernel",
-        knots=KnotSet(X),
-        gamma_hat=gamma,
-        lam=lam,
-        kernel=spec,
-        g_kind="none",
-        beta=None,
-        w=c,
-        method="krr",
-        diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
-    )
+    return _kriging_full_model(X, y, spec, "none", policy, grid, "krr")
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +580,14 @@ class _BcdState:
     """
 
     def __init__(self, X, y, knots: KnotSet, g_kind: str, theta0: np.ndarray):
-        self.X, self.y = X, y
+        self.y = y
         self.n, self.d = X.shape
         self.m = knots.m
-        self.knots = knots
-        self.g_kind = g_kind
         A = knots.points
         self.DX = [(X[:, l, None] - A[None, :, l]) ** 2 for l in range(self.d)]
         self.DA = [(A[:, l, None] - A[None, :, l]) ** 2 for l in range(self.d)]
         self.GX = regression_matrix(g_kind, X)
         self.GA = regression_matrix(g_kind, A)
-        self.q = self.GX.shape[1]
         self.theta = theta0.copy()
         self.WX = sum(t * D for t, D in zip(self.theta, self.DX))
         self.WA = sum(t * D for t, D in zip(self.theta, self.DA))
@@ -604,36 +605,15 @@ class _BcdState:
         return self._bufX, self._bufA
 
     def _objective_from_kernels(self, gamma, RXA, RA) -> float:
-        fac = spd_factor(RA)
-        s = fac.solve(gamma)
-        if self.q:
-            t = fac.solve(self.GA)
-            C = self.GA.T @ t
-            try:
-                u = np.linalg.solve(C, self.GA.T @ s)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(f"degenerate regression block: {exc}") from exc
-            w = s - t @ u
-            r = self.y - self.GX @ u
-            r -= RXA @ w
-        else:
-            r = self.y - RXA @ s
+        u, w = spd_factor(RA).gls(self.GA, gamma)
+        r = self.y - self.GX @ u
+        r -= RXA @ w
         return float(r @ r) / self.n
 
-    def objective(self, gamma, WX, WA) -> float:
-        return self._objective_from_kernels(gamma, np.exp(-WX), np.exp(-WA))
-
     def gamma_step(self):
-        fac = spd_factor(np.exp(-self.WA))
-        Rinv = fac.solve(np.eye(self.m))
-        if self.q:
-            RinvG = fac.solve(self.GA)
-            C = self.GA.T @ RinvG
-            U = np.linalg.solve(C.T, RinvG.T).T
-            V = Rinv - U @ RinvG.T
-            B = self.GX @ U.T + np.exp(-self.WX) @ V
-        else:
-            B = np.exp(-self.WX) @ Rinv
+        # rows of B are the kriging basis b(x)' = g(x)'U' + r_A(x)'V
+        Ut, V = spd_factor(np.exp(-self.WA)).gls(self.GA, np.eye(self.m))
+        B = self.GX @ Ut + np.exp(-self.WX) @ V
         try:
             facB = spd_factor(B.T @ B)
         except NotPositiveDefinite as exc:
@@ -642,7 +622,7 @@ class _BcdState:
         r = self.y - B @ gamma
         return gamma, float(r @ r) / self.n
 
-    def coordinate_search(self, j, gamma, current, n_evals):
+    def coordinate_search(self, j, gamma, current):
         """Golden-section on log10(theta_j) in [-2, 3]; keeps only improvements."""
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         baseX = self.WX - self.theta[j] * self.DX[j]
@@ -657,7 +637,7 @@ class _BcdState:
         x2 = a + golden * (b - a)
         f1, f2 = f(x1), f(x2)
         best_t, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-        for _ in range(max(n_evals - 2, 0)):
+        for _ in range(_GOLDEN_EVALS - 2):
             if f1 < f2:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - golden * (b - a)
@@ -686,7 +666,6 @@ def estimate_kernel_params(
     theta0=None,
     max_iter: int = 10,
     tol: float = 1e-3,
-    golden_evals: int = 40,
 ) -> KernelParamsFit:
     """Estimate per-coordinate Gaussian rates by least squares.
 
@@ -695,11 +674,10 @@ def estimate_kernel_params(
     are refreshed by an exact unpenalized least-squares solve after every
     accepted move.  The objective trace is non-increasing by construction.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _as_xy(X, y)
     knots = as_knots(A)
     if theta0 is None:
-        theta0 = np.full(X.shape[1], 12.5)
+        theta0 = np.full(X.shape[1], DEFAULT_GAUSSIAN_RATE)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     if theta0.shape[0] != X.shape[1]:
         raise DimensionMismatch("theta0 must have one rate per coordinate")
@@ -709,7 +687,7 @@ def estimate_kernel_params(
     for _ in range(max_iter):
         current = trace[-1]
         for j in range(state.d):
-            current = state.coordinate_search(j, gamma, current, golden_evals)
+            current = state.coordinate_search(j, gamma, current)
             gamma_new, obj_new = state.gamma_step()
             if obj_new <= current:
                 gamma, current = gamma_new, obj_new
@@ -717,26 +695,10 @@ def estimate_kernel_params(
         if trace[-2] - trace[-1] < tol * max(trace[-2], 1e-300):
             break
     spec = KernelSpec(family="gaussian", theta=tuple(float(t) for t in state.theta))
-    basis = gp_basis_build(knots, spec, g_kind)
-    model = FittedModel(
-        interpolator="gp",
-        knots=knots,
-        gamma_hat=gamma,
-        lam=0.0,
-        kernel=spec,
-        g_kind=g_kind,
-        beta=basis.U.T @ gamma,
-        w=basis.V @ gamma,
-        method="gprr",
-        diagnostics=FitDiagnostics(
-            gcv=None,
-            jitter=basis.R_A_factor.jitter_applied,
-            iterations=len(trace) - 1,
-        ),
-    )
     return KernelParamsFit(
         theta=state.theta.copy(),
         gamma_hat=gamma,
         objective_trace=[float(v) for v in trace],
-        model=model,
+        model=_basis_model(gp_basis_build(knots, spec, g_kind), gamma, 0.0,
+                           iterations=len(trace) - 1),
     )

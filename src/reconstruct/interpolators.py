@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateKnots,
     RankDeficientRegression,
+    SingularSystem,
     UnsortedKnots,
 )
 from .kernels import KernelSpec, kernel_matrix
@@ -35,7 +36,7 @@ class KnotSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.size == 0:
             raise DimensionMismatch("knots must form a nonempty (m, d) array")
-        if np.min(pts) < -1e-9 or np.max(pts) > 1.0 + 1e-9:
+        if not (np.min(pts) >= -1e-9 and np.max(pts) <= 1.0 + 1e-9):  # NaN fails too
             raise ValueError("knot coordinates must lie in [0, 1]")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
             raise DuplicateKnots("knot rows must be pairwise distinct")
@@ -263,22 +264,17 @@ def gp_basis_build(A, spec: KernelSpec, g_kind: str = "constant+linear") -> GPBa
             f"need more knots ({A.m}) than regression functions ({q})"
         )
     fac = spd_factor(kernel_matrix(spec, A.points, A.points))
-    Rinv = fac.solve(np.eye(A.m))
-    if q == 0:
-        U = np.zeros((A.m, 0))
-        V = 0.5 * (Rinv + Rinv.T)
-        return GPBasis(A, spec, g_kind, U, V, fac, G)
-    RinvG = fac.solve(G)
-    C = G.T @ RinvG
-    cond = np.linalg.cond(C)
+    try:
+        Ut, V = fac.gls(G, np.eye(A.m))
+    except SingularSystem as exc:
+        raise RankDeficientRegression(str(exc)) from exc
+    # (L'U)'(L'U) = (G'R^{-1}G)^{-1} for R = LL', so cond(G'R^{-1}G) = cond(L'U)^2
+    cond = np.linalg.cond(fac.factor.T @ Ut.T) ** 2 if q else 1.0
     if not np.isfinite(cond) or cond > 1e12:
         raise RankDeficientRegression(
             f"regression functions are numerically rank deficient (cond={cond:.2e})"
         )
-    U = np.linalg.solve(C.T, RinvG.T).T
-    V = Rinv - U @ RinvG.T
-    V = 0.5 * (V + V.T)
-    return GPBasis(A, spec, g_kind, U, V, fac, G)
+    return GPBasis(A, spec, g_kind, Ut.T, 0.5 * (V + V.T), fac, G)
 
 
 def gp_basis_eval(basis: GPBasis, x) -> np.ndarray:

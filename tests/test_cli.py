@@ -91,6 +91,20 @@ class TestFitPredict:
             blob = json.loads(out.read_text())
             assert blob["method"] == method
 
+    def test_predict_rejects_truncated_model(self, tmp_path, train_csv, capsys):
+        path, X, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "krr", "--out", str(out)]) == 0
+        blob = json.loads(out.read_text())
+        blob["w"] = blob["w"][:-1]
+        out.write_text(json.dumps(blob))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.5,0.5\n")
+        rc = dispatch(["predict", "--model", str(out), "--data", str(pts),
+                       "--out", str(tmp_path / "pred.csv")])
+        assert rc == 2
+        assert "'w'" in capsys.readouterr().err
+
     def test_inspect(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
         out = tmp_path / "model.json"

@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reconstruct.baselines import _nystrom_spectrum
+from reconstruct.baselines import (
+    VarianceParams,
+    _nystrom_spectrum,
+    estimate_variances,
+    fit_empirical_bayes,
+    fit_gpr,
+    fit_nystrom,
+    fit_spgp,
+)
 from reconstruct.designs import equispaced_knots, replication_design
-from reconstruct.errors import DimensionMismatch, LengthMismatch
+from reconstruct.errors import BadSchema, DimensionMismatch, LengthMismatch, NonFiniteInput
 from reconstruct.estimators import (
     FittedModel,
     _gcv_curve,
@@ -506,6 +514,59 @@ class TestModelJsonSchema:
         assert doc["kernel"] == {"family": "gaussian", "theta": [12.5, 12.5]}
         assert len(doc["knots"]) == 20 and len(doc["knots"][0]) == 2
         assert isinstance(doc["lambda"], float)
+
+
+    def _stored(self, rng, **changes):
+        X = rng.random((20, 2))
+        model = fit_gprr(X, rng.normal(size=20), X[:6], default_gaussian(2), "constant+linear", 0.01)
+        doc = model_to_json(model)
+        doc.update(changes)
+        return doc
+
+    @pytest.mark.parametrize("field,value", [
+        ("w", [0.1] * 5),
+        ("beta", [0.1] * 2),
+        ("gamma_hat", [0.1] * 7),
+        ("kernel", {"family": "gaussian", "theta": [12.5, 12.5, 12.5]}),
+        ("w", None),
+    ])
+    def test_bad_field_is_named(self, rng, field, value):
+        with pytest.raises(BadSchema, match=field):
+            model_from_json(self._stored(rng, **{field: value}))
+
+
+_XY_SPEC = default_gaussian(2)
+_XY_VP = VarianceParams(1.0, 0.5)
+
+# every public fit that takes training data (X, y), with knots X[:6]
+_XY_FITS = {
+    "fit_gprr": lambda X, y: fit_gprr(X, y, X[:6], _XY_SPEC, "constant+linear", 0.01),
+    "fit_krr": lambda X, y: fit_krr(X, y, _XY_SPEC),
+    "fit_gpr": lambda X, y: fit_gpr(X, y, _XY_SPEC),
+    "fit_nystrom": lambda X, y: fit_nystrom(X, y, X[:6], _XY_SPEC),
+    "fit_spgp": lambda X, y: fit_spgp(X, y, X[:6], _XY_SPEC, _XY_VP),
+    "fit_empirical_bayes": lambda X, y: fit_empirical_bayes(X, y, X[:6], _XY_SPEC, _XY_VP),
+    "estimate_kernel_params": lambda X, y: estimate_kernel_params(X, y, X[:6], max_iter=1),
+    "estimate_variances": lambda X, y: estimate_variances(X, y, X[:6], _XY_SPEC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_XY_FITS))
+def test_training_data_checked_at_the_boundary(rng, name):
+    fit = _XY_FITS[name]
+    X = rng.random((30, 2))
+    y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=30)
+    fit(X, y)
+    with pytest.raises(LengthMismatch):
+        fit(X, y[:-1])
+    y_nan = y.copy()
+    y_nan[4] = np.nan
+    with pytest.raises(NonFiniteInput, match="y"):
+        fit(X, y_nan)
+    X_inf = X.copy()
+    X_inf[7, 1] = np.inf
+    with pytest.raises(NonFiniteInput, match="X"):
+        fit(X_inf, y)
 
 
 def _brute_gcv(H, y):

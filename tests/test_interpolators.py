@@ -36,6 +36,11 @@ class TestKnotSet:
         with pytest.raises(ValueError):
             KnotSet(np.array([[1.2, 0.0]]))
 
+    @pytest.mark.parametrize("row", [[np.nan, 0.5], [0.5, -np.inf]])
+    def test_non_finite_rejected(self, row):
+        with pytest.raises(ValueError):
+            KnotSet(np.array([[0.1, 0.2], row]))
+
     def test_shape(self):
         ks = KnotSet(np.array([[0.1], [0.9]]))
         assert (ks.m, ks.d) == (2, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reconstruct import numerics
-from reconstruct.errors import DimensionMismatch, NotPositiveDefinite
+from reconstruct.errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
 from reconstruct.numerics import (
     BandedSpdMatrix,
     banded_spd_solve,
@@ -69,6 +69,39 @@ class TestSpdSolve:
         fac = spd_factor(A)
         recon = fac.factor @ fac.factor.T - fac.jitter_applied * np.eye(12)
         assert np.max(np.abs(recon - A)) / np.max(np.abs(A)) < 1e-10
+
+
+class TestGls:
+    @staticmethod
+    def dense_gls(A, G, Y):
+        Ainv = np.linalg.inv(A)
+        beta = np.linalg.solve(G.T @ Ainv @ G, G.T @ Ainv @ Y)
+        return beta, Ainv @ (Y - G @ beta)
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("shape", [(), (4,)])
+    def test_matches_dense_formula(self, rng, q, shape):
+        n = 15
+        A = random_spd(rng, n)
+        G = rng.normal(size=(n, q))
+        Y = rng.normal(size=(n, *shape))
+        beta, w = spd_factor(A).gls(G, Y)
+        assert beta.shape == (q, *shape) and w.shape == Y.shape
+        ref_beta, ref_w = self.dense_gls(A, G, Y)
+        for got, ref in ((beta, ref_beta), (w, ref_w)):
+            # initial=0 covers the empty beta of q = 0
+            err = np.max(np.abs(got - ref), initial=0.0)
+            assert err <= 1e-10 * np.max(np.abs(ref), initial=0.0)
+
+    def test_rank_deficient_trend(self, rng):
+        A = random_spd(rng, 10)
+        g = rng.normal(size=10)
+        with pytest.raises(SingularSystem):
+            spd_factor(A).gls(np.column_stack([g, 2.0 * g]), rng.normal(size=10))
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            spd_factor(np.eye(4)).gls(np.ones((3, 1)), np.ones(4))
 
 
 class TestBandedSolve:
