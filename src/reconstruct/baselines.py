@@ -21,10 +21,9 @@ from .estimators import (
     FitDiagnostics,
     FittedModel,
     _as_xy,
-    _gcv_curve,
-    _gcv_select,
     _kriging_full_model,
     _lambda_plan,
+    _tune,
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
 from .kernels import KernelSpec, kernel_matrix
@@ -139,10 +138,7 @@ def fit_nystrom(
     X, y = _as_xy(X, y)
     n = X.shape[0]
     spectrum, coefficients, jitter = _nystrom_spectrum(X, y, A, spec, g_kind)
-    lam, grid = _lambda_plan(lambda_policy, grid)
-    gval = None
-    if grid is not None:
-        lam, gval = _gcv_select(grid, _gcv_curve(n, *spectrum.rss_and_dof(grid)))
+    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, spectrum.rss_and_dof)
     beta, alpha = coefficients(lam)
     gamma = None
     if n <= _GAMMA_MATERIALIZE_LIMIT:

@@ -29,7 +29,7 @@ from .designs import (
     replication_design,
     select_knots,
 )
-from .errors import BadSchema, DimensionMismatch, UnknownFunction
+from .errors import BadSchema, DimensionMismatch, ReconstructError, UnknownFunction
 from .estimators import (
     _gcv_curve,
     estimate_kernel_params,
@@ -230,7 +230,6 @@ class ExperimentConfig:
     seed: Optional[int] = None
     lambda_grid: Optional[list] = None
     theta: Optional[float] = DEFAULT_GAUSSIAN_RATE
-    estimate_theta: bool = False
     ackley_standard: bool = False
     trials: int = DEFAULT_SUBSET_TRIALS
     bcd_max_iter: int = 10
@@ -286,10 +285,9 @@ def _mean_sd(values) -> dict:
     return out
 
 
-def _spawn_rngs(seed, labels):
-    """One child generator per label, all derived from the master seed."""
-    children = np.random.SeedSequence(seed).spawn(len(labels))
-    return dict(zip(labels, (np.random.default_rng(c) for c in children)))
+def _failure(exc) -> str:
+    """A method failure as the reports record it."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +322,7 @@ def _table1_rep(cfg_dict: dict, rep: int) -> dict:
             out["mse"][method] = evaluate(model, Xtest, truth)
             out["lambda"][method] = float(model.lam)
         except Exception as exc:  # noqa: BLE001 - failures are reported, not fatal
-            out["failed"][method] = f"{type(exc).__name__}: {exc}"
+            out["failed"][method] = _failure(exc)
     return out
 
 
@@ -371,6 +369,47 @@ def _map_indexed(fn, cfg_dict, count, jobs):
 # ---------------------------------------------------------------------------
 
 
+def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
+    """One knot set of the subset-knot comparisons (Table 3, power plant).
+
+    BCD gprr, then Nystrom by GCV and the variance search plus SPGP on its
+    kernel rates (each if listed in ``methods``), every fit evaluated
+    against ``truth`` at ``Xtest``; without test points only BCD runs.  A
+    failure is recorded under its method, and a failed BCD stops the rest.
+    Returns the BCD fit (None when it failed) and the record of test errors
+    ("mse"), failures ("failed"), rates ("theta") and SPGP's "variances".
+    """
+    rec = {"mse": {}, "failed": {}}
+    theta0 = np.full(X.shape[1], cfg.theta or DEFAULT_GAUSSIAN_RATE)
+    try:
+        kp = estimate_kernel_params(
+            X, y, A, "constant+linear", theta0, max_iter=cfg.bcd_max_iter, tol=cfg.bcd_tol,
+        )
+        rec["theta"] = [float(t) for t in kp.theta]
+        if Xtest is None:
+            return kp, rec
+        rec["mse"]["gprr"] = evaluate(kp.model, Xtest, truth)
+    except Exception as exc:  # noqa: BLE001 - failures are reported, not fatal
+        rec["failed"]["gprr"] = _failure(exc)
+        return None, rec
+    spec = kp.model.kernel
+    grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
+    if "nystrom" in methods:
+        try:
+            mod = fit_nystrom(X, y, A, spec, "constant+linear", "gcv", grid)
+            rec["mse"]["nystrom"] = evaluate(mod, Xtest, truth)
+        except Exception as exc:  # noqa: BLE001
+            rec["failed"]["nystrom"] = _failure(exc)
+    if "spgp" in methods:
+        try:
+            vp = estimate_variances(X, y, A, spec)
+            rec["mse"]["spgp"] = evaluate(fit_spgp(X, y, A, spec, vp), Xtest, truth)
+            rec["variances"] = {"tau2": vp.tau2, "sigma2": vp.sigma2}
+        except Exception as exc:  # noqa: BLE001
+            rec["failed"]["spgp"] = _failure(exc)
+    return kp, rec
+
+
 def _table3_outer(cfg_dict: dict, outer: int) -> dict:
     cfg = ExperimentConfig.from_dict(cfg_dict)
     root = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)[outer]
@@ -381,45 +420,13 @@ def _table3_outer(cfg_dict: dict, outer: int) -> dict:
     truth = test_function(cfg.function, Xtest)
     rng_subset = np.random.default_rng(subset_ss)
     m = cfg.m or default_knot_count(train.X.shape[1])
-    grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
     inner_runs = []
     for inner in range(cfg.inner_draws):
         idx = np.sort(rng_subset.choice(cfg.n, size=m, replace=False))
-        A = KnotSet(train.X[idx])
-        rec = {"inner": inner, "indices": idx.tolist(), "mse": {}, "failed": {}}
-        theta0 = np.full(train.X.shape[1], cfg.theta or DEFAULT_GAUSSIAN_RATE)
-        try:
-            kp = estimate_kernel_params(
-                train.X,
-                train.y,
-                A,
-                "constant+linear",
-                theta0,
-                max_iter=cfg.bcd_max_iter,
-                tol=cfg.bcd_tol,
-            )
-            spec = kp.model.kernel
-            rec["theta"] = [float(t) for t in kp.theta]
-            rec["mse"]["gprr"] = evaluate(kp.model, Xtest, truth)
-        except Exception as exc:  # noqa: BLE001
-            rec["failed"]["gprr"] = f"{type(exc).__name__}: {exc}"
-            inner_runs.append(rec)
-            continue
-        if "nystrom" in cfg.methods:
-            try:
-                mod = fit_nystrom(train.X, train.y, A, spec, "constant+linear", "gcv", grid)
-                rec["mse"]["nystrom"] = evaluate(mod, Xtest, truth)
-            except Exception as exc:  # noqa: BLE001
-                rec["failed"]["nystrom"] = f"{type(exc).__name__}: {exc}"
-        if "spgp" in cfg.methods:
-            try:
-                vp = estimate_variances(train.X, train.y, A, spec)
-                mod = fit_spgp(train.X, train.y, A, spec, vp)
-                rec["mse"]["spgp"] = evaluate(mod, Xtest, truth)
-                rec["variances"] = {"tau2": vp.tau2, "sigma2": vp.sigma2}
-            except Exception as exc:  # noqa: BLE001
-                rec["failed"]["spgp"] = f"{type(exc).__name__}: {exc}"
-        inner_runs.append(rec)
+        _, rec = _compare_on_knots(
+            train.X, train.y, KnotSet(train.X[idx]), cfg, cfg.methods, Xtest, truth
+        )
+        inner_runs.append({"inner": inner, "indices": idx.tolist(), **rec})
     out = {"outer": outer, "inner": inner_runs, "mean": {}, "sd": {}}
     for method in cfg.methods:
         vals = [r["mse"][method] for r in inner_runs if method in r["mse"]]
@@ -580,45 +587,25 @@ def run_ccpp(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
     X, y = dataset.X, dataset.y
     n, d = X.shape
     m0 = config.m or default_knot_count(d)
-    rngs = _spawn_rngs(config.seed, ["select"])
-    selection = select_knots(X, m0, trials=config.trials, seed=rngs["select"])
-    indices = selection.indices.copy()
-    theta0 = np.full(d, config.theta or DEFAULT_GAUSSIAN_RATE)
-    kp = estimate_kernel_params(
-        X, y, selection.knots, "constant+linear", theta0,
-        max_iter=config.bcd_max_iter, tol=config.bcd_tol,
-    )
-    spec = kp.model.kernel
-    initial = {}
+    select_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    selection = select_knots(X, m0, trials=config.trials, seed=select_rng)
     test_pair = (dataset.Xtest, dataset.ytest)
-    if test_pair[0] is not None:
-        initial["gprr"] = evaluate(kp.model, *test_pair)
-        try:
-            mod = fit_nystrom(X, y, selection.knots, spec, "constant+linear", "gcv")
-            initial["nystrom"] = evaluate(mod, *test_pair)
-        except Exception as exc:  # noqa: BLE001
-            initial["nystrom_error"] = f"{type(exc).__name__}: {exc}"
-        try:
-            vp = estimate_variances(X, y, selection.knots, spec)
-            mod = fit_spgp(X, y, selection.knots, spec, vp)
-            initial["spgp"] = evaluate(mod, *test_pair)
-        except Exception as exc:  # noqa: BLE001
-            initial["spgp_error"] = f"{type(exc).__name__}: {exc}"
-    trajectory, indices = _sequential_knots(
-        X, y, indices, kp, config, test_pair
-    )
+    kp, rec = _compare_on_knots(X, y, selection.knots, config, ("nystrom", "spgp"), *test_pair)
+    if kp is None:
+        raise ReconstructError(f"kernel-rate search failed: {rec['failed']['gprr']}")
+    trajectory, indices = _sequential_knots(X, y, selection.indices, kp, config, test_pair)
     return BenchmarkReport(
         kind="ccpp",
         config=config.to_dict(),
         per_run=trajectory,
         summary={
-            "initial_test_errors": initial,
+            "initial_test_errors": rec["mse"],
             "final_gcv": trajectory[-1]["gcv"],
             "initial_gcv": trajectory[0]["gcv"],
         },
         seed=config.seed,
         knots=[int(i) for i in indices],
-        errors=[],
+        errors=[{"method": meth, "error": msg} for meth, msg in rec["failed"].items()],
         timings={"total_s": time.perf_counter() - t0},
     )
 

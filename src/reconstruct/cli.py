@@ -31,17 +31,16 @@ from .estimators import (
     DEFAULT_LAMBDA_GRID,
     _gcv_curve,
     _kriging_spectrum,
+    _subset_spectrum,
     estimate_kernel_params,
     fdp_gcv,
     fit_gprr,
     fit_krr,
-    gcv,
     model_from_json,
     model_to_json,
     predict,
-    roughness_penalty,
 )
-from .interpolators import KnotSet, design_matrix, gp_basis_build, regression_matrix
+from .interpolators import KnotSet, regression_matrix
 from .kernels import default_gaussian, gaussian_kernel, kernel_matrix
 
 
@@ -89,7 +88,9 @@ def _write_report(path, report: BenchmarkReport):
 
 
 def _parse_lambda(text):
-    if text in ("gcv", "none", "auto"):
+    """A --lambda value: one of the policy words or a number (the fits
+    read the policy; see ``estimators._lambda_plan``)."""
+    if text in ("gcv", "auto", "none"):
         return text
     try:
         return float(text)
@@ -120,7 +121,7 @@ def _build_parser():
     fit.add_argument("--theta", type=float, default=None, help="Gaussian kernel rate (all coordinates)")
     fit.add_argument("--estimate-theta", action="store_true")
     fit.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
-    fit.add_argument("--lambda", dest="lam", default=None, help="gcv | none | value")
+    fit.add_argument("--lambda", dest="lam", default="auto", help="gcv | auto | none | value")
     fit.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
     fit.add_argument("--seed", type=int, default=None)
     fit.add_argument("--out", required=True)
@@ -206,7 +207,7 @@ def _build_parser():
 def _cmd_fit(args):
     X, y = _read_xy(args.data)
     n, d = X.shape
-    lam = _parse_lambda(args.lam) if args.lam is not None else None
+    lam = _parse_lambda(args.lam)
     spec = _kernel_from_args(args, d)
     if args.m is not None:
         _require_seed(args)
@@ -221,18 +222,18 @@ def _cmd_fit(args):
             kp = estimate_kernel_params(X, y, A, args.g)
             model = kp.model
         else:
-            model = fit_gprr(X, y, A, spec, args.g, lam if lam is not None else "auto")
+            model = fit_gprr(X, y, A, spec, args.g, lam)
     elif args.method == "krr":
-        model = fit_krr(X, y, spec, lam if lam is not None else "gcv")
+        model = fit_krr(X, y, spec, lam)
     elif args.method == "gpr":
-        model = fit_gpr(X, y, spec, args.g, lam if lam is not None else "gcv")
+        model = fit_gpr(X, y, spec, args.g, lam)
     else:
         if A is None:
             raise _UsageError(f"--m is required for method {args.method}")
         if args.estimate_theta:
             spec = estimate_kernel_params(X, y, A, args.g).model.kernel
         if args.method == "nystrom":
-            model = fit_nystrom(X, y, A, spec, args.g, lam if lam is not None else "gcv")
+            model = fit_nystrom(X, y, A, spec, args.g, lam)
         else:
             vp = estimate_variances(X, y, A, spec)
             fitter = fit_spgp if args.method == "spgp" else fit_empirical_bayes
@@ -265,22 +266,17 @@ def _cmd_gcv_scan(args):
         if d != 1:
             raise ReconstructError("the finite-difference scan expects 1-D data")
         curve = fdp_gcv(y, grid)
-    elif args.method == "krr":
+    else:
         spec = _kernel_from_args(args, d)
-        spectrum, _ = _kriging_spectrum(
-            kernel_matrix(spec, X, X), regression_matrix("none", X), y
-        )
+        if args.method == "krr":
+            spectrum, _ = _kriging_spectrum(kernel_matrix(spec, X, X), regression_matrix("none", X), y)
+        else:  # gprr with m knots
+            if args.m is None:
+                raise _UsageError("--m is required for a gprr scan")
+            _require_seed(args)
+            knots = select_knots(X, args.m, seed=args.seed).knots
+            spectrum = _subset_spectrum(X, y, knots, spec, args.g)[1]
         curve = _gcv_curve(n, *spectrum.rss_and_dof(grid))
-    else:  # gprr with m knots
-        if args.m is None:
-            raise _UsageError("--m is required for a gprr scan")
-        _require_seed(args)
-        spec = _kernel_from_args(args, d)
-        selection = select_knots(X, args.m, seed=args.seed)
-        basis = gp_basis_build(selection.knots, spec, args.g)
-        B = design_matrix(basis, X)
-        Sigma = roughness_penalty(basis)
-        curve = gcv(B, y, grid, Sigma)
     payload = {
         "method": args.method,
         "grid": [float(g) for g in grid],

@@ -225,58 +225,37 @@ def roughness_penalty(basis: GPBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generic ridge reconstruction and GCV
+# the lambda policy and the GCV engine
 # ---------------------------------------------------------------------------
-
-
-def _ridge(B, y, lam, Sigma):
-    n = B.shape[0]
-    S = B.T @ B + n * lam * Sigma
-    try:
-        fac = spd_factor(S)
-    except NotPositiveDefinite as exc:
-        raise SingularSystem(str(exc)) from exc
-    return fac.solve(B.T @ y), fac.jitter_applied
 
 
 def ridge_reconstruct(B, y, lam, Sigma) -> np.ndarray:
     """gamma = (B'B + n*lam*Sigma)^{-1} B'y."""
-    B = np.asarray(B, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    Sigma = np.asarray(Sigma, dtype=float)
-    gamma, _ = _ridge(B, y, lam, Sigma)
-    return gamma
+    return demmler_reinsch(B, Sigma, y)[1](lam)
 
 
-def _gcv_curve(n, rss, dof) -> np.ndarray:
-    """GCV = rss / (n (1 - tr/n)^2) over arrays of residual sums of squares
-    and residual degrees of freedom dof = n - tr; +inf where the smoother
-    saturates."""
-    dof = np.asarray(dof, dtype=float)
-    ratio = 1.0 - dof / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curve = np.asarray(rss, dtype=float) / (n * (dof / n) ** 2)
-    return np.where(ratio >= 1.0 - 1e-12, math.inf, curve)
+def _lambda_plan(lambda_policy, grid, n, m=None):
+    """The one reading of a lambda policy for a fit of m knot values to n
+    points (m defaults to n): (lam, None) fixes lambda, (None, grid) asks
+    GCV to search the grid.
 
-
-def _plateau_argmin(grid, curve) -> int:
-    """Largest-lambda index on the minimum plateau of the curve."""
-    finite = np.isfinite(curve)
-    if not np.any(finite):
-        raise SingularSystem("GCV is undefined on the whole grid")
-    gmin = np.min(curve[finite])
-    tol = abs(gmin) * _GCV_PLATEAU_RTOL
-    ok = np.nonzero(finite & (curve <= gmin + tol))[0]
-    return int(ok[np.argmax(grid[ok])])
-
-
-def _lambda_plan(lambda_policy, grid):
-    """(lam, None) when lambda is fixed, (None, grid) when GCV searches.
-
-    A one-point grid fixes lambda as-is, without evaluating the criterion.
+    * a number is lambda itself, and "none" is lambda = 0;
+    * "gcv" searches ``grid`` (the default grid when None); a one-point
+      grid fixes lambda to its point without evaluating the criterion;
+    * "auto" is lambda = 0 when at most n/5 knot values are estimated and
+      "gcv" otherwise, so it is "gcv" for every fit with n knot values;
+    * any other string raises ``ValueError``.
     """
-    if not (isinstance(lambda_policy, str) and lambda_policy == "gcv"):
+    if not isinstance(lambda_policy, str):
         return float(lambda_policy), None
+    if lambda_policy == "auto":
+        lambda_policy = "none" if (n if m is None else m) <= n / 5 else "gcv"
+    if lambda_policy == "none":
+        return 0.0, None
+    if lambda_policy != "gcv":
+        raise ValueError(
+            f"unknown lambda policy {lambda_policy!r}; use gcv, auto, none or a number"
+        )
     grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
@@ -285,10 +264,37 @@ def _lambda_plan(lambda_policy, grid):
     return None, grid
 
 
+def _gcv_curve(n, rss, dof) -> np.ndarray:
+    """GCV = rss / (n (1 - tr/n)^2) over arrays of residual sums of squares
+    and residual degrees of freedom dof = n - tr; +inf where the smoother
+    saturates or its residual and trace are undefined (NaN)."""
+    dof = np.asarray(dof, dtype=float)
+    ratio = 1.0 - dof / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curve = np.asarray(rss, dtype=float) / (n * (dof / n) ** 2)
+    return np.where(ratio < 1.0 - 1e-12, curve, math.inf)
+
+
 def _gcv_select(grid, curve):
-    """The GCV engine's pick from a curve over the grid: (lam, GCV at lam)."""
-    idx = _plateau_argmin(grid, curve)
+    """The plateau rule: (lam, GCV at lam) for the largest lambda on the
+    minimum plateau of the curve."""
+    finite = np.isfinite(curve)
+    if not np.any(finite):
+        raise SingularSystem("GCV is undefined on the whole grid")
+    gmin = np.min(curve[finite])
+    ok = np.nonzero(finite & (curve <= gmin + abs(gmin) * _GCV_PLATEAU_RTOL))[0]
+    idx = ok[np.argmax(grid[ok])]
     return float(grid[idx]), float(curve[idx])
+
+
+def _tune(plan, n, rss_and_dof):
+    """Every fit's lambda from its :func:`_lambda_plan`: (lam, None) when
+    the plan fixes it, else the GCV pick (lam, GCV at lam) from
+    ``rss_and_dof(grid) -> (rss, n - tr)``."""
+    lam, grid = plan
+    if grid is None:
+        return lam, None
+    return _gcv_select(grid, _gcv_curve(n, *rss_and_dof(grid)))
 
 
 def gcv(B, y, lam, Sigma):
@@ -296,7 +302,7 @@ def gcv(B, y, lam, Sigma):
 
     ``lam`` may be a number or an array; the result has the same shape.
     """
-    spectrum = demmler_reinsch(B, Sigma, y)
+    spectrum = demmler_reinsch(B, Sigma, y)[0]
     curve = _gcv_curve(spectrum.n, *spectrum.rss_and_dof(lam))
     return curve if np.ndim(lam) else float(curve[0])
 
@@ -307,7 +313,7 @@ def select_lambda(B, y, Sigma, grid):
     Returns the chosen lambda and the full curve for reporting.  A
     singleton grid is taken as-is without evaluating the criterion.
     """
-    lam, grid = _lambda_plan("gcv", grid)
+    lam, grid = _lambda_plan("gcv", grid, len(y))
     if grid is None:
         return lam, np.array([math.nan])
     curve = gcv(B, y, grid, Sigma)
@@ -360,13 +366,15 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
     """GLS trend + kernel smoother on all n points; lambda fixed or by GCV.
 
     The prediction is g(x)'beta + r_X(x)'c and the knot values are the
-    fitted values.  Kernel ridge ("krr") is stored as a trend-free kernel
+    fitted values.  A fixed lambda takes one Cholesky factor and its GLS
+    solve, which also covers lambda = 0 interpolation; a GCV search takes
+    the spectrum.  Kernel ridge ("krr") is stored as a trend-free kernel
     interpolant.
     """
     n = X.shape[0]
     G = regression_matrix(g_kind, X)
     R = kernel_matrix(spec, X, X)
-    lam, grid = _lambda_plan(lambda_policy, grid)
+    lam, grid = _lambda_plan(lambda_policy, grid, n)
     gval, jitter = None, 0.0
     if grid is None:
         fac = spd_factor(R if lam == 0.0 else R + n * lam * np.eye(n))
@@ -374,7 +382,7 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
         gamma, jitter = y - n * lam * c, fac.jitter_applied
     else:
         spectrum, coefficients = _kriging_spectrum(R, G, y)
-        lam, gval = _gcv_select(grid, _gcv_curve(n, *spectrum.rss_and_dof(grid)))
+        lam, gval = _tune((lam, grid), n, spectrum.rss_and_dof)
         beta, c, gamma = coefficients(lam)
     krr = method == "krr"
     return FittedModel(
@@ -394,18 +402,6 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
 # ---------------------------------------------------------------------------
 # the reconstruction fits
 # ---------------------------------------------------------------------------
-
-
-def _resolve_policy(lambda_policy, m, n):
-    if isinstance(lambda_policy, str):
-        if lambda_policy == "auto":
-            return 0.0 if m <= n / 5 else "gcv"
-        if lambda_policy == "none":
-            return 0.0
-        if lambda_policy == "gcv":
-            return "gcv"
-        raise ValueError(f"unknown lambda policy {lambda_policy!r}")
-    return float(lambda_policy)
 
 
 def _basis_model(basis: GPBasis, gamma, lam, gcv=None, jitter=0.0, iterations=0) -> FittedModel:
@@ -429,6 +425,13 @@ def _basis_model(basis: GPBasis, gamma, lam, gcv=None, jitter=0.0, iterations=0)
     )
 
 
+def _subset_spectrum(X, y, knots: KnotSet, spec, g_kind):
+    """The kriging basis on the knots and the Demmler-Reinsch spectrum of
+    its ridge smoother (see :func:`~reconstruct.numerics.demmler_reinsch`)."""
+    basis = gp_basis_build(knots, spec, g_kind)
+    return (basis, *demmler_reinsch(design_matrix(basis, X), roughness_penalty(basis), y))
+
+
 def fit_gprr(
     X,
     y,
@@ -442,28 +445,22 @@ def fit_gprr(
 
     With ``A`` equal to (or omitted for) the full design, the estimator
     collapses to a kernel smoother on the training points and is computed
-    in that stable form.  With fewer knots the ridge system is built from
+    in that stable form.  With fewer knots the ridge smoother is built from
     the design matrix of the interpolation basis and the roughness penalty
-    induced by its kernel part.
+    induced by its kernel part, and the knot values at the chosen lambda
+    come from the same spectrum GCV searched.  ``lambda_policy`` is read by
+    :func:`_lambda_plan`.
     """
     X, y = _as_xy(X, y)
     n, d = X.shape
     if spec is None:
         spec = default_gaussian(d)
     knots = KnotSet(X) if A is None else as_knots(A)
-    policy = _resolve_policy(lambda_policy, knots.m, n)
     if knots.m == n and np.array_equal(knots.points, X):
-        return _kriging_full_model(X, y, spec, g_kind, policy, grid, "gprr")
-    basis = gp_basis_build(knots, spec, g_kind)
-    B = design_matrix(basis, X)
-    Sigma = roughness_penalty(basis)
-    lam, lam_grid = _lambda_plan(policy, grid)
-    gval = None
-    if lam_grid is not None:
-        lam, curve = select_lambda(B, y, Sigma, lam_grid)
-        gval = float(curve[lam_grid == lam][0])
-    gamma, jitter = _ridge(B, y, lam, Sigma)
-    return _basis_model(basis, gamma, lam, gcv=gval, jitter=jitter)
+        return _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, "gprr")
+    basis, spectrum, coefficients, jitter = _subset_spectrum(X, y, knots, spec, g_kind)
+    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n, knots.m), n, spectrum.rss_and_dof)
+    return _basis_model(basis, coefficients(lam), lam, gcv=gval, jitter=jitter)
 
 
 def fit_krr(X, y, spec: Optional[KernelSpec] = None, lambda_policy="gcv", grid=None) -> FittedModel:
@@ -475,11 +472,7 @@ def fit_krr(X, y, spec: Optional[KernelSpec] = None, lambda_policy="gcv", grid=N
     X, y = _as_xy(X, y)
     if spec is None:
         spec = default_gaussian(X.shape[1])
-    if isinstance(lambda_policy, str):
-        policy = "gcv" if lambda_policy in ("gcv", "auto") else 0.0
-    else:
-        policy = float(lambda_policy)
-    return _kriging_full_model(X, y, spec, "none", policy, grid, "krr")
+    return _kriging_full_model(X, y, spec, "none", lambda_policy, grid, "krr")
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +494,15 @@ class FdpFit:
         return np.asarray(spline_eval(self.spline, x))
 
 
+def _fdp_rss_and_dof(y, lam):
+    rss, tr = fdp_residual_and_trace(y, lam)
+    return rss, y.shape[0] - tr
+
+
 def fdp_gcv(y, lam):
     """GCV of the second-difference ridge at one lambda or an array of them."""
     y = np.asarray(y, dtype=float).ravel()
-    n = y.shape[0]
-    rss, tr = fdp_residual_and_trace(y, lam)
-    curve = _gcv_curve(n, rss, n - tr)
+    curve = _gcv_curve(y.shape[0], *_fdp_rss_and_dof(y, lam))
     return curve if np.ndim(lam) else float(curve[0])
 
 
@@ -520,10 +516,7 @@ def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
     n = y.shape[0]
     if n < 3:
         raise DimensionMismatch("the finite-difference fit needs at least 3 points")
-    lam, grid = _lambda_plan(lambda_policy, grid)
-    gval = None
-    if grid is not None:
-        lam, gval = _gcv_select(grid, fdp_gcv(y, grid))
+    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, lambda g: _fdp_rss_and_dof(y, g))
     gamma = banded_spd_solve(fdp_system(n, lam), y)
     x = np.linspace(0.0, 1.0, n)
     return FdpFit(

@@ -205,8 +205,6 @@ def _banded_factor(M: BandedSpdMatrix) -> np.ndarray:
         raise NotPositiveDefinite(f"banded factorization failed: {exc}") from exc
 
 
-
-
 @dataclass(frozen=True)
 class SmootherSpectrum:
     """A family of linear smoothers H(lam) on n points, diagonalized once.
@@ -237,15 +235,20 @@ class SmootherSpectrum:
         return rss, np.sum(s, axis=1) + self.k0
 
 
-def demmler_reinsch(B, Sigma, y) -> SmootherSpectrum:
-    """Spectrum of the ridge smoother H(lam) = B (B'B + n*lam*Sigma)^{-1} B'.
+def demmler_reinsch(B, Sigma, y):
+    """Spectrum of the ridge smoother H(lam) = B (B'B + n*lam*Sigma)^{-1} B'
+    and its coefficients.
 
     Demmler & Reinsch (1975): with B'B = LL' and L^{-1} Sigma L^{-T} =
-    V diag(mu) V', the columns of B L^{-T} V are orthonormal and H scales
-    them by 1 / (1 + n*lam*mu_i), so d_i = 1/mu_i (infinite on the null
-    space of Sigma); the n - m directions outside the column space of B
-    are pure residual.  A B'B that is not positive definite gets the
+    V diag(mu) V', the columns of B W, W = L^{-T} V, are orthonormal and H
+    scales them by 1 / (1 + n*lam*mu_i), so d_i = 1/mu_i (infinite on the
+    null space of Sigma); the n - m directions outside the column space of
+    B are pure residual.  A B'B that is not positive definite gets the
     jitter ladder of :func:`spd_factor`.
+
+    Returns the spectrum, ``coefficients(lam) -> gamma`` with
+    gamma = (B'B + n*lam*Sigma)^{-1} B'y = W z / (1 + n*lam*mu), z = W'B'y,
+    and the jitter put on B'B.
     """
     B = np.asarray(B, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
@@ -258,17 +261,30 @@ def demmler_reinsch(B, Sigma, y) -> SmootherSpectrum:
             f"Sigma has shape {Sigma.shape}, expected ({m}, {m})"
         )
     try:
-        L = spd_factor(B.T @ B).factor
+        fac = spd_factor(B.T @ B)
     except NotPositiveDefinite as exc:
         raise SingularSystem(str(exc)) from exc
+    L = fac.factor
     S = solve_triangular(L, solve_triangular(L, Sigma, lower=True).T, lower=True)
     mu, V = eigh(0.5 * (S + S.T))
+    mu = np.clip(mu, 0.0, None)
     W = solve_triangular(L, V, lower=True, trans="T")  # L^{-T} V
     z = W.T @ (B.T @ y)
     r = y - B @ (W @ z)
     with np.errstate(divide="ignore"):
-        d = 1.0 / np.clip(mu, 0.0, None)
-    return SmootherSpectrum(n=n, d=d, z=z, e0=float(r @ r), k0=n - m)
+        d = 1.0 / mu
+
+    def coefficients(lam):
+        nl = n * lam
+        gamma = W @ (z / (1.0 + nl * mu))
+        # one refinement step on B'(y - B gamma) = n*lam*Sigma gamma: W is
+        # as ill-conditioned as L, and the residual taken from B brings
+        # gamma back to the accuracy of a direct solve or better
+        r = B.T @ (y - B @ gamma) - nl * (Sigma @ gamma)
+        return gamma + W @ ((W.T @ r) / (1.0 + nl * mu))
+
+    spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(r @ r), k0=n - m)
+    return spectrum, coefficients, fac.jitter_applied
 
 
 def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
@@ -277,7 +293,7 @@ def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
     ``lam`` may be a number or an array; the result has the same shape.
     """
     B = np.asarray(B, dtype=float)
-    dof = demmler_reinsch(B, Sigma, np.zeros(B.shape[0])).rss_and_dof(lam)[1]
+    dof = demmler_reinsch(B, Sigma, np.zeros(B.shape[0]))[0].rss_and_dof(lam)[1]
     tr = B.shape[0] - dof
     return tr if np.ndim(lam) else float(tr[0])
 
@@ -291,7 +307,8 @@ def fdp_residual_and_trace(y, lam):
     Takahashi recurrence for the diagonal of A^{-1}.  The recurrence then
     runs once over the n points with every step vectorized across lambda,
     keeping only the three inverse entries the band needs.  Long grids on
-    many points are taken in chunks of lambda to bound memory.
+    many points are taken in chunks of lambda to bound memory.  A lambda
+    whose factor fails gets NaN for both, which GCV scores as +inf.
     """
     y = np.asarray(y, dtype=float).ravel()
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -311,7 +328,12 @@ def _fdp_pass(y, lams):
     l2 = np.zeros((n, k))
     dinv = np.empty((n, k))
     for j, lam_j in enumerate(lams):
-        U = _banded_factor(fdp_system(n, lam_j))
+        try:
+            U = _banded_factor(fdp_system(n, lam_j))
+        except NotPositiveDefinite:
+            # n*lam beyond about 1e16: no residual or trace at this lambda
+            rss[j] = dinv[:, j] = l1[:, j] = l2[:, j] = np.nan
+            continue
         r = y - cho_solve_banded((U, False), y)
         rss[j] = r @ r
         dinv[:, j] = 1.0 / U[2] ** 2

@@ -302,3 +302,19 @@ class TestSequentialKnots:
         assert len(set(report.knots)) == len(report.knots)
         assert max(report.knots) < 300
         assert "gprr" in report.summary["initial_test_errors"]
+
+    def test_method_failure_goes_to_errors(self):
+        from reconstruct.benchmarks import Dataset, run_ccpp
+
+        rng = np.random.default_rng(17)
+        X = rng.random((200, 2))
+        y = np.sin(3 * X[:, 0]) + 0.1 * rng.normal(size=200)
+        Xt = rng.random((40, 2))
+        data = Dataset(X=X, y=y, Xtest=Xt, ytest=np.sin(3 * Xt[:, 0]))
+        # a one-point grid at zero fixes lambda = 0, which Nystrom cannot fit
+        cfg = ExperimentConfig(m=6, iterations=1, trials=50, seed=6, bcd_max_iter=1,
+                               lambda_grid=[0.0])
+        report = run_ccpp(data, cfg)
+        assert [e["method"] for e in report.errors] == ["nystrom"]
+        assert report.errors[0]["error"].startswith("SingularSystem")
+        assert set(report.summary["initial_test_errors"]) == {"gprr", "spgp"}

@@ -124,20 +124,41 @@ class TestScansAndKnots:
         payload = json.loads(out.read_text())
         assert len(payload["grid"]) == len(payload["gcv"]) == 9
 
-    def test_gcv_scan_argmin_is_fit_lambda(self, tmp_path, train_csv, capsys):
+    @pytest.mark.parametrize("method,knot_args,fit_args", [
+        ("krr", [], []),
+        ("gprr", ["--m", "8", "--seed", "3"], ["--lambda", "gcv"]),
+    ], ids=["krr", "gprr"])
+    def test_gcv_scan_argmin_is_fit_lambda(self, tmp_path, train_csv, capsys, method,
+                                           knot_args, fit_args):
         path, _, _ = train_csv
         curve_out, model_out = tmp_path / "curve.json", tmp_path / "m.json"
         assert dispatch([
-            "gcv-scan", "--data", str(path), "--method", "krr", "--out", str(curve_out),
+            "gcv-scan", "--data", str(path), "--method", method, *knot_args,
+            "--out", str(curve_out),
         ]) == 0
         assert dispatch([
-            "fit", "--data", str(path), "--method", "krr", "--out", str(model_out),
+            "fit", "--data", str(path), "--method", method, *knot_args, *fit_args,
+            "--out", str(model_out),
         ]) == 0
         payload = json.loads(curve_out.read_text())
         curve = np.array([np.inf if v is None else v for v in payload["gcv"]])
         model = json.loads(model_out.read_text())
         assert payload["grid"][int(np.argmin(curve))] == model["lambda"]
         assert model["diagnostics"]["gcv"] == np.min(curve)
+
+    @pytest.mark.parametrize("method,policy,knot_args", [
+        ("gpr", "none", []),
+        ("nystrom", "auto", ["--m", "10", "--seed", "3"]),
+    ], ids=["gpr-none", "nystrom-auto"])
+    def test_every_policy_word_fits(self, tmp_path, train_csv, capsys, method, policy, knot_args):
+        path, _, _ = train_csv
+        out = tmp_path / "m.json"
+        assert dispatch([
+            "fit", "--data", str(path), "--method", method, *knot_args,
+            "--lambda", policy, "--out", str(out),
+        ]) == 0
+        lam = json.loads(out.read_text())["lambda"]
+        assert (lam == 0.0) == (policy == "none")
 
     def test_knots_select(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
@@ -195,6 +216,23 @@ class TestMoreSurfaces:
             "--grid", "1e-6,1e1,7", "--out", str(out),
         ]) == 0
         assert len(json.loads(out.read_text())["gcv"]) == 7
+
+    def test_gcv_scan_fdp_reports_failed_factor_as_null(self, tmp_path, rng, capsys):
+        # the banded factor fails once n*lam reaches about 1e16
+        x = np.linspace(0, 1, 50)
+        y = np.sin(6 * x) + 0.2 * rng.normal(size=50)
+        data = tmp_path / "d.csv"
+        data.write_text(
+            "x1,y\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n"
+        )
+        out = tmp_path / "c.json"
+        assert dispatch([
+            "gcv-scan", "--data", str(data), "--method", "fdp",
+            "--grid", "1e-8,1e17,26", "--out", str(out),
+        ]) == 0
+        curve = json.loads(out.read_text())["gcv"]
+        assert curve[-1] is None
+        assert all(v is not None for v in curve[:20])
 
     def test_gcv_scan_gprr(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv

@@ -14,8 +14,16 @@ from reconstruct.baselines import (
     fit_nystrom,
     fit_spgp,
 )
+from reconstruct import baselines, estimators, interpolators, numerics
+from reconstruct.benchmarks import simulate
 from reconstruct.designs import equispaced_knots, replication_design
-from reconstruct.errors import BadSchema, DimensionMismatch, LengthMismatch, NonFiniteInput
+from reconstruct.errors import (
+    BadSchema,
+    DimensionMismatch,
+    LengthMismatch,
+    NonFiniteInput,
+    SingularSystem,
+)
 from reconstruct.estimators import (
     FittedModel,
     _gcv_curve,
@@ -186,6 +194,21 @@ class TestGprr:
         assert model.lam in default_lambda_grid()
         assert model.diagnostics.gcv is not None
 
+    def test_subset_knot_values_match_augmented_qr(self):
+        # gamma minimizes ||[B; sqrt(n lam) W] g - [y; 0]|| with Sigma = W'W,
+        # and a thin QR of the stacked matrix gives the reference.  On this
+        # draw the spectral formula without its refinement step is 6e-6 off.
+        n, m = 4000, 100
+        data = simulate("III", n, 2, 1.0, seed=11)
+        A = KnotSet(data.X[np.sort(np.random.default_rng(111).choice(n, m, replace=False))])
+        spec = default_gaussian(2)
+        model = fit_gprr(data.X, data.y, A, spec, "constant+linear", "gcv")
+        basis = gp_basis_build(A, spec, "constant+linear")
+        W = basis.R_A_factor.factor.T @ basis.V
+        Q, R = np.linalg.qr(np.vstack([design_matrix(basis, data.X), np.sqrt(n * model.lam) * W]))
+        ref = np.linalg.solve(R, Q.T @ np.concatenate([data.y, np.zeros(m)]))
+        assert np.max(np.abs(model.gamma_hat - ref)) <= 1e-6 * np.max(np.abs(ref))
+
     def test_superposition_in_y(self, rng):
         X = rng.random((40, 2))
         y1, y2 = rng.normal(size=40), rng.normal(size=40)
@@ -283,6 +306,23 @@ class TestFdp:
     def test_too_short(self):
         with pytest.raises(DimensionMismatch):
             fit_fdp(np.array([1.0, 2.0]), 0.1)
+
+    def test_failed_factor_scores_infinite_gcv(self):
+        # the banded factor fails once n*lam reaches about 1e16; the search
+        # skips those lambdas instead of aborting
+        n = 10_000
+        x = np.linspace(0, 1, n)
+        y = f1d(x) + 0.3 * np.random.default_rng(1).normal(size=n)
+        grid = np.logspace(-8, 12, 50)
+        curve = fdp_gcv(y, grid)
+        assert curve[-1] == math.inf
+        assert np.all(np.isfinite(curve[:-1]))
+        fit = fit_fdp(y, "gcv", grid)
+        assert fit.lam < grid[-1]
+        assert fit.diagnostics.gcv == np.min(curve)
+        rss, tr = numerics.fdp_residual_and_trace(y, grid[-2:])
+        assert np.isfinite(rss[0]) and np.isfinite(tr[0])
+        assert np.isnan(rss[1]) and np.isnan(tr[1])
 
 
 class TestReplicationFit:
@@ -567,6 +607,73 @@ def test_training_data_checked_at_the_boundary(rng, name):
     X_inf[7, 1] = np.inf
     with pytest.raises(NonFiniteInput, match="X"):
         fit(X_inf, y)
+
+
+# every lambda-tuned fit on 30 points; the subset fits estimate 12 > 30/5
+# knot values, so "auto" means GCV for all of them
+_TUNED_FITS = {
+    "fit_krr": lambda X, y, p: fit_krr(X, y, _XY_SPEC, p),
+    "fit_gpr": lambda X, y, p: fit_gpr(X, y, _XY_SPEC, "constant+linear", p),
+    "fit_gprr": lambda X, y, p: fit_gprr(X, y, None, _XY_SPEC, "constant+linear", p),
+    "fit_gprr_subset": lambda X, y, p: fit_gprr(X, y, X[:12], _XY_SPEC, "constant+linear", p),
+    "fit_nystrom": lambda X, y, p: fit_nystrom(X, y, X[:12], _XY_SPEC, "constant+linear", p),
+    "fit_fdp": lambda X, y, p: fit_fdp(y, p),
+}
+
+
+@pytest.fixture
+def tuned_data(rng):
+    X = rng.random((30, 2))
+    return X, np.sin(3 * X[:, 0]) + 0.3 * rng.normal(size=30)
+
+
+class TestLambdaPolicy:
+    @pytest.mark.parametrize("name", sorted(_TUNED_FITS))
+    def test_none_is_lambda_zero(self, tuned_data, name):
+        fit = _TUNED_FITS[name]
+        if name == "fit_nystrom":
+            # the low-rank smoother has no unpenalized form
+            with pytest.raises(SingularSystem):
+                fit(*tuned_data, "none")
+            return
+        model = fit(*tuned_data, "none")
+        assert model.lam == 0.0
+        assert model.diagnostics.gcv is None
+        np.testing.assert_array_equal(model.gamma_hat, fit(*tuned_data, 0.0).gamma_hat)
+
+    @pytest.mark.parametrize("name", sorted(_TUNED_FITS))
+    def test_auto_is_gcv_with_n_knot_values(self, tuned_data, name):
+        auto = _TUNED_FITS[name](*tuned_data, "auto")
+        by_gcv = _TUNED_FITS[name](*tuned_data, "gcv")
+        assert auto.lam == by_gcv.lam
+        assert auto.diagnostics.gcv == by_gcv.diagnostics.gcv is not None
+
+    @pytest.mark.parametrize("name", sorted(_TUNED_FITS))
+    def test_unknown_word_raises(self, tuned_data, name):
+        with pytest.raises(ValueError, match="gvc"):
+            _TUNED_FITS[name](*tuned_data, "gvc")
+
+    def test_auto_is_zero_with_few_knot_values(self, tuned_data):
+        X, y = tuned_data
+        assert fit_gprr(X, y, X[:6], _XY_SPEC, "constant+linear", "auto").lam == 0.0
+
+    def test_subset_gcv_factors_twice(self, rng, monkeypatch):
+        # R_A for the basis and B'B for the spectrum; the coefficients come
+        # from the same spectrum, with no third factorization
+        calls = []
+        original = numerics.spd_factor
+
+        def counting(A):
+            calls.append(np.shape(A))
+            return original(A)
+
+        for module in (numerics, interpolators, estimators, baselines):
+            if getattr(module, "spd_factor", None) is original:
+                monkeypatch.setattr(module, "spd_factor", counting)
+        X = rng.random((200, 2))
+        y = np.sin(3 * X[:, 0]) + 0.3 * rng.normal(size=200)
+        fit_gprr(X, y, X[:20], _XY_SPEC, "constant+linear", "gcv")
+        assert calls == [(20, 20), (20, 20)]
 
 
 def _brute_gcv(H, y):
