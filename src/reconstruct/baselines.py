@@ -11,7 +11,7 @@ R_A is formed.  SPGP and the quasi-posterior share one m x m ridge solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,6 +24,7 @@ from .estimators import (
     _kriging_full_model,
     _lambda_plan,
     _tune,
+    predict,
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
 from .kernels import KernelSpec, kernel_matrix
@@ -140,18 +141,10 @@ def fit_nystrom(
     spectrum, coefficients, jitter = _nystrom_spectrum(X, y, A, spec, g_kind)
     lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, spectrum.rss_and_dof)
     beta, alpha = coefficients(lam)
-    gamma = None
-    if n <= _GAMMA_MATERIALIZE_LIMIT:
-        gamma = np.zeros(n)
-        if beta.size:
-            gamma += regression_matrix(g_kind, X) @ beta
-        chunk = max(1, 2_000_000 // n)
-        for s in range(0, n, chunk):
-            gamma[s : s + chunk] += kernel_matrix(spec, X[s : s + chunk], X) @ alpha
-    return FittedModel(
+    model = FittedModel(
         interpolator="gp",
         knots=KnotSet(X),
-        gamma_hat=gamma,
+        gamma_hat=None,
         lam=lam,
         kernel=spec,
         g_kind=g_kind,
@@ -160,6 +153,9 @@ def fit_nystrom(
         method="nystrom",
         diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
     )
+    if n <= _GAMMA_MATERIALIZE_LIMIT:
+        model = replace(model, gamma_hat=predict(model, X))
+    return model
 
 
 def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:

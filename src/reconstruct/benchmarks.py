@@ -243,13 +243,6 @@ class ExperimentConfig:
         out["methods"] = list(self.methods)
         return out
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = dict(obj)
-        if "methods" in obj and obj["methods"] is not None:
-            obj["methods"] = tuple(obj["methods"])
-        return cls(**obj)
-
 
 @dataclass
 class BenchmarkReport:
@@ -295,8 +288,7 @@ def _failure(exc) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _table1_rep(cfg_dict: dict, rep: int) -> dict:
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _table1_rep(cfg: ExperimentConfig, rep: int) -> dict:
     root = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)[rep]
     train_ss, test_ss = root.spawn(2)
     train = simulate(cfg.function, cfg.n, cfg.d, cfg.sigma, train_ss, cfg.ackley_standard)
@@ -334,8 +326,7 @@ def run_table1(config: ExperimentConfig) -> BenchmarkReport:
     if bad:
         raise ValueError(f"unsupported methods {sorted(bad)}")
     t0 = time.perf_counter()
-    cfg_dict = config.to_dict()
-    per_run = _map_indexed(_table1_rep, cfg_dict, config.repetitions, config.jobs)
+    per_run = _map_indexed(_table1_rep, config, config.repetitions, config.jobs)
     summary = {}
     errors = []
     for method in config.methods:
@@ -346,7 +337,7 @@ def run_table1(config: ExperimentConfig) -> BenchmarkReport:
             errors.append({"rep": r["rep"], "method": method, "error": msg})
     return BenchmarkReport(
         kind="table1",
-        config=cfg_dict,
+        config=config.to_dict(),
         per_run=per_run,
         summary=summary,
         seed=config.seed,
@@ -355,12 +346,12 @@ def run_table1(config: ExperimentConfig) -> BenchmarkReport:
     )
 
 
-def _map_indexed(fn, cfg_dict, count, jobs):
+def _map_indexed(fn, config, count, jobs):
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, [cfg_dict] * count, range(count)))
+            results = list(pool.map(fn, [config] * count, range(count)))
     else:
-        results = [fn(cfg_dict, i) for i in range(count)]
+        results = [fn(config, i) for i in range(count)]
     return results
 
 
@@ -410,8 +401,7 @@ def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
     return kp, rec
 
 
-def _table3_outer(cfg_dict: dict, outer: int) -> dict:
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _table3_outer(cfg: ExperimentConfig, outer: int) -> dict:
     root = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)[outer]
     train_ss, test_ss, subset_ss = root.spawn(3)
     train = simulate(cfg.function, cfg.n, cfg.d, cfg.sigma, train_ss)
@@ -446,8 +436,7 @@ def run_table3(config: ExperimentConfig) -> BenchmarkReport:
     if bad:
         raise ValueError(f"unsupported methods {sorted(bad)}")
     t0 = time.perf_counter()
-    cfg_dict = config.to_dict()
-    outers = _map_indexed(_table3_outer, cfg_dict, config.repetitions, config.jobs)
+    outers = _map_indexed(_table3_outer, config, config.repetitions, config.jobs)
     summary = {}
     for method in config.methods:
         means = [o["mean"][method] for o in outers if method in o["mean"]]
@@ -466,7 +455,7 @@ def run_table3(config: ExperimentConfig) -> BenchmarkReport:
     knots = [[r["indices"] for r in o["inner"]] for o in outers]
     return BenchmarkReport(
         kind="table3",
-        config=cfg_dict,
+        config=config.to_dict(),
         per_run=outers,
         summary=summary,
         seed=config.seed,

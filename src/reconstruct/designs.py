@@ -45,7 +45,8 @@ def knot_criterion(A) -> float:
     Small values indicate sets that fill space without collapsing in any
     single coordinate projection.
     """
-    pts = as_knots(A).points if not isinstance(A, np.ndarray) else np.atleast_2d(A)
+    # arrays skip KnotSet's validation: select_knots scores thousands of subsets
+    pts = np.asarray(A, dtype=float) if isinstance(A, np.ndarray) else as_knots(A).points
     if pts.ndim == 1:
         pts = pts[:, None]
     m = pts.shape[0]

@@ -79,39 +79,24 @@ def regression_matrix(g_kind: str, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _barycentric_weights(knots: np.ndarray) -> np.ndarray:
-    m = knots.shape[0]
-    w = np.ones(m)
-    for j in range(m):
-        diff = knots[j] - np.delete(knots, j)
-        if np.any(diff == 0.0):
-            raise DuplicateKnots("lagrange knots must be distinct")
-        w[j] = 1.0 / np.prod(diff)
-    return w / np.max(np.abs(w))
-
-
 def lagrange_eval(knots, gamma, x):
     """Polynomial through (knots, gamma), second barycentric form.
 
-    Exact hits on a knot short-circuit to the stored value; elsewhere the
-    weight ratio keeps the evaluation stable near the knots.
+    scipy's ``BarycentricInterpolator`` evaluates it; exact hits on a knot
+    return the stored value.  Repeated knots raise instead of giving inf or
+    NaN.
     """
+    from scipy.interpolate import BarycentricInterpolator  # deferred: ~0.3 s, ~21 MiB to import
+
     knots = np.asarray(knots, dtype=float).ravel()
     gamma = np.asarray(gamma, dtype=float).ravel()
     if knots.shape[0] != gamma.shape[0]:
         raise DimensionMismatch("knots and gamma must have equal length")
-    w = _barycentric_weights(knots)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.shape[0])
-    for i, xi in enumerate(xs):
-        diff = xi - knots
-        hit = np.nonzero(diff == 0.0)[0]
-        if hit.size:
-            out[i] = gamma[hit[0]]
-            continue
-        t = w / diff
-        out[i] = np.dot(t, gamma) / np.sum(t)
-    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    if np.unique(knots).shape[0] != knots.shape[0]:
+        raise DuplicateKnots("lagrange knots must be distinct")
+    with np.errstate(divide="ignore", invalid="ignore"):  # one knot: scipy scales by 1/0
+        out = BarycentricInterpolator(knots, gamma)(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

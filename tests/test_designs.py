@@ -69,6 +69,12 @@ class TestCriterion:
         A = np.array([[0.0], [0.5], [1.0]])
         assert knot_criterion(A) == pytest.approx(2.0)
 
+    def test_1d_array_is_m_scalar_knots(self):
+        knots = [0.1, 0.5, 0.9]
+        assert knot_criterion(np.array(knots)) == pytest.approx(2.5)
+        assert knot_criterion(np.array(knots)) == knot_criterion(knots)
+        assert knot_criterion(np.array([0, 1])) == pytest.approx(1.0)
+
     def test_coincident_coordinates_clamped(self):
         A = np.array([[0.3, 0.1], [0.3, 0.9]])
         val = knot_criterion(A)

@@ -380,6 +380,28 @@ class TestKernelParamEstimation:
             trace = np.array(kp.objective_trace)
             assert np.all(np.diff(trace) <= 1e-12)
 
+    def test_line_search_stops_before_forty_evaluations(self, monkeypatch):
+        counts = []
+        search = estimators._BcdState.coordinate_search
+        objective = estimators._BcdState._objective_from_kernels
+
+        def counting_search(self, *args):
+            counts.append(0)
+            return search(self, *args)
+
+        def counting_objective(self, *args):
+            counts[-1] += 1
+            return objective(self, *args)
+
+        monkeypatch.setattr(estimators._BcdState, "coordinate_search", counting_search)
+        monkeypatch.setattr(estimators._BcdState, "_objective_from_kernels", counting_objective)
+        for s in range(3):
+            r = np.random.default_rng(100 + s)
+            X = r.random((80, 2))
+            y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.2 * r.normal(size=80)
+            estimate_kernel_params(X, y, separated_points(r, 8, 2), "constant+linear", max_iter=4)
+        assert counts and max(counts) < 40
+
     def test_model_is_well_formed(self, rng):
         X = rng.random((70, 2))
         y = X[:, 0] ** 2 + 0.1 * rng.normal(size=70)

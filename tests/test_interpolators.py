@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -64,6 +66,11 @@ class TestLagrange:
     def test_duplicate_knots(self):
         with pytest.raises(DuplicateKnots):
             lagrange_eval([0.2, 0.2, 0.9], [1.0, 2.0, 3.0], 0.5)
+
+    def test_single_knot_is_constant(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(lagrange_eval([0.4], [2.5], [0.1, 0.4, 0.9]), 2.5)
 
     def test_chebyshev_error_small(self):
         kn = chebyshev_knots(8)
