@@ -134,24 +134,25 @@ def predict(model: FittedModel, Xstar) -> np.ndarray:
         raise DimensionMismatch(
             f"points have {Xstar.shape[1]} coordinates, model has {model.knots.d}"
         )
-    if model.interpolator == "lagrange":
-        return np.asarray(
-            lagrange_eval(model.knots.points[:, 0], model.gamma_hat, Xstar[:, 0])
-        )
     if model.interpolator == "spline":
         coeffs = fit_natural_spline(model.knots.points[:, 0], model.gamma_hat)
         return np.asarray(spline_eval(coeffs, Xstar[:, 0]))
-    if model.interpolator not in ("kernel", "gp"):
-        raise ValueError(f"unknown interpolator kind {model.interpolator!r}")
     out = np.zeros(Xstar.shape[0])
-    if model.beta is not None and model.beta.size:
-        out += regression_matrix(model.g_kind or "none", Xstar) @ model.beta
+    if model.interpolator == "lagrange":
+        # scipy's evaluation holds a few (rows, m) temporaries: same blocks
+        def block(rows):
+            return lagrange_eval(model.knots.points[:, 0], model.gamma_hat, rows[:, 0])
+    elif model.interpolator in ("kernel", "gp"):
+        if model.beta is not None and model.beta.size:
+            out += regression_matrix(model.g_kind or "none", Xstar) @ model.beta
+
+        def block(rows):
+            return kernel_matrix(model.kernel, rows, model.knots.points) @ model.w
+    else:
+        raise ValueError(f"unknown interpolator kind {model.interpolator!r}")
     chunk = max(1, _PREDICT_CHUNK_FLOATS // max(model.knots.m, 1))
     for s in range(0, Xstar.shape[0], chunk):
-        out[s : s + chunk] += (
-            kernel_matrix(model.kernel, Xstar[s : s + chunk], model.knots.points)
-            @ model.w
-        )
+        out[s : s + chunk] += block(Xstar[s : s + chunk])
     return out
 
 

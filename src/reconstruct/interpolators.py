@@ -84,7 +84,9 @@ def lagrange_eval(knots, gamma, x):
 
     scipy's ``BarycentricInterpolator`` evaluates it; exact hits on a knot
     return the stored value.  Repeated knots raise instead of giving inf or
-    NaN.
+    NaN.  Its weights multiply the knot distances in a random order; a fixed
+    generator keeps the result reproducible and the global ``np.random``
+    stream untouched.
     """
     from scipy.interpolate import BarycentricInterpolator  # deferred: ~0.3 s, ~21 MiB to import
 
@@ -95,7 +97,8 @@ def lagrange_eval(knots, gamma, x):
     if np.unique(knots).shape[0] != knots.shape[0]:
         raise DuplicateKnots("lagrange knots must be distinct")
     with np.errstate(divide="ignore", invalid="ignore"):  # one knot: scipy scales by 1/0
-        out = BarycentricInterpolator(knots, gamma)(np.asarray(x, dtype=float))
+        poly = BarycentricInterpolator(knots, gamma, random_state=0)
+    out = poly(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -48,6 +48,7 @@ from reconstruct.interpolators import (
     design_matrix,
     gp_basis_build,
     kernel_interp_eval,
+    lagrange_eval,
     regression_matrix,
 )
 from reconstruct.kernels import default_gaussian, gaussian_kernel, kernel_matrix
@@ -438,6 +439,21 @@ class TestPredictAndSerialization:
                 predict(model, model.knots.points), model.gamma_hat,
                 atol=1e-8 * scale,
             )
+
+    def test_lagrange_predicts_in_blocks(self, rng, monkeypatch):
+        model = self._models(rng)[-1]
+        xs = rng.random((50, 1))
+        whole = lagrange_eval(model.knots.points[:, 0], model.gamma_hat, xs[:, 0])
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return lagrange_eval(*args)
+
+        monkeypatch.setattr(estimators, "lagrange_eval", counted)
+        monkeypatch.setattr(estimators, "_PREDICT_CHUNK_FLOATS", 10 * model.knots.m)
+        np.testing.assert_array_equal(predict(model, xs), whole)
+        assert len(calls) == 5
 
     def test_empty_input(self, rng):
         model = self._models(rng)[0]

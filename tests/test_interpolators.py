@@ -72,6 +72,20 @@ class TestLagrange:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(lagrange_eval([0.4], [2.5], [0.1, 0.4, 0.9]), 2.5)
 
+    def test_independent_of_global_random_state(self):
+        rng = np.random.default_rng(3)
+        kn, g = np.sort(rng.random(30)), rng.standard_normal(30)
+        grid = np.linspace(0, 1, 201)
+        outs = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            outs.append(lagrange_eval(kn, g, grid))
+            after = np.random.get_state()
+            np.testing.assert_array_equal(after[1], before[1])
+            assert after[2] == before[2]
+        np.testing.assert_array_equal(outs[0], outs[1])
+
     def test_chebyshev_error_small(self):
         kn = chebyshev_knots(8)
         grid = np.linspace(0, 1, 2001)
