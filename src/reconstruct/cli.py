@@ -138,6 +138,7 @@ def _build_parser():
     scan.add_argument("--theta", type=float, default=None)
     scan.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
     scan.add_argument("--grid", default=None, help="LO,HI,COUNT (log spaced)")
+    scan.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
     scan.add_argument("--seed", type=int, default=None)
     scan.add_argument("--out", required=True)
 
@@ -274,7 +275,7 @@ def _cmd_gcv_scan(args):
             if args.m is None:
                 raise _UsageError("--m is required for a gprr scan")
             _require_seed(args)
-            knots = select_knots(X, args.m, seed=args.seed).knots
+            knots = select_knots(X, args.m, trials=args.trials, seed=args.seed).knots
             spectrum = _subset_spectrum(X, y, knots, spec, args.g)[1]
         curve = _gcv_curve(n, *spectrum.rss_and_dof(grid))
     payload = {

@@ -54,4 +54,4 @@ class BadSchema(ReconstructError):
 
 
 class NonFiniteInput(ReconstructError):
-    """Training inputs or responses contain NaN or infinite values."""
+    """Inputs, responses or query points contain NaN or infinite values."""

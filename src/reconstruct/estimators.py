@@ -134,6 +134,9 @@ def predict(model: FittedModel, Xstar) -> np.ndarray:
         raise DimensionMismatch(
             f"points have {Xstar.shape[1]} coordinates, model has {model.knots.d}"
         )
+    bad = np.count_nonzero(~np.isfinite(Xstar))
+    if bad:
+        raise NonFiniteInput(f"query points have {bad} NaN or inf entries")
     if model.interpolator == "spline":
         coeffs = fit_natural_spline(model.knots.points[:, 0], model.gamma_hat)
         return np.asarray(spline_eval(coeffs, Xstar[:, 0]))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from reconstruct.cli import dispatch
-from reconstruct.estimators import model_from_json, predict
+from reconstruct.designs import select_knots
+from reconstruct.estimators import _gcv_curve, _subset_spectrum, model_from_json, predict
+from reconstruct.interpolators import KnotSet
+from reconstruct.kernels import default_gaussian
 
 
 @pytest.fixture
@@ -104,6 +107,18 @@ class TestFitPredict:
                        "--out", str(tmp_path / "pred.csv")])
         assert rc == 2
         assert "'w'" in capsys.readouterr().err
+
+    def test_predict_rejects_non_finite_query(self, tmp_path, train_csv, capsys):
+        path, _, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "krr", "--out", str(out)]) == 0
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.5,0.5\ninf,0.25\n")
+        pred = tmp_path / "pred.csv"
+        rc = dispatch(["predict", "--model", str(out), "--data", str(pts), "--out", str(pred)])
+        assert rc == 2
+        assert "query points have 1 NaN or inf entries" in capsys.readouterr().err
+        assert not pred.exists()
 
     def test_inspect(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
@@ -243,6 +258,20 @@ class TestMoreSurfaces:
         ]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["gcv"]) == 5
+
+    def test_gcv_scan_gprr_uses_selected_knots(self, tmp_path, train_csv, capsys):
+        path, X, y = train_csv
+        knots_out, curve_out = tmp_path / "k.json", tmp_path / "c.json"
+        seed = ["--m", "8", "--trials", "100", "--seed", "3"]
+        assert dispatch(["knots", "select", "--data", str(path), *seed, "--out", str(knots_out)]) == 0
+        assert dispatch(["gcv-scan", "--data", str(path), "--method", "gprr", *seed,
+                         "--grid", "1e-6,1e1,5", "--out", str(curve_out)]) == 0
+        idx = json.loads(knots_out.read_text())["indices"]
+        assert idx != select_knots(X, 8, seed=3).indices.tolist()  # trials reached the search
+        grid = np.logspace(-6, 1, 5)
+        spectrum = _subset_spectrum(X, y, KnotSet(X[idx]), default_gaussian(2), "constant+linear")[1]
+        expect = _gcv_curve(X.shape[0], *spectrum.rss_and_dof(grid))
+        assert json.loads(curve_out.read_text())["gcv"] == expect.tolist()
 
     def test_knots_sequential(self, tmp_path, train_csv, capsys):
         path, X, y = train_csv

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from reconstruct import designs
 from reconstruct.designs import (
     chebyshev_knots,
     default_knot_count,
@@ -10,7 +14,7 @@ from reconstruct.designs import (
     replication_design,
     select_knots,
 )
-from reconstruct.errors import NoCandidatesLeft
+from reconstruct.errors import NoCandidatesLeft, NonFiniteInput
 from reconstruct.interpolators import KnotSet
 
 
@@ -90,6 +94,18 @@ class TestCriterion:
         assert knot_criterion(A) == pytest.approx(knot_criterion(A[:, [2, 0, 1]]))
 
 
+def _select_knots_brute(X, m, trials, seed):
+    """Every subset scored in full: the search select_knots must reproduce."""
+    rng = np.random.default_rng(seed)
+    best_idx, best_score = None, np.inf
+    for _ in range(trials):
+        idx = np.sort(rng.choice(X.shape[0], size=m, replace=False))
+        score = knot_criterion(X[idx])
+        if score < best_score:
+            best_score, best_idx = score, idx
+    return best_idx, best_score
+
+
 class TestSelectKnots:
     def test_full_subset(self, rng):
         X = rng.random((5, 2))
@@ -126,6 +142,54 @@ class TestSelectKnots:
     def test_too_many(self, rng):
         with pytest.raises(ValueError):
             select_knots(rng.random((4, 1)), 5, trials=1, seed=0)
+
+    def test_non_finite_candidates(self, rng):
+        X = rng.random((40, 3))
+        X[:7, 1] = np.nan
+        X[0, 2] = np.inf
+        with pytest.raises(NonFiniteInput, match="8 NaN or inf"):
+            select_knots(X, 5, trials=10, seed=0)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_knots_before_any_draw(self, rng, m):
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="at least two knots"):
+            select_knots(rng.random((20, 2)), m, trials=10, seed=gen)
+        assert gen.bit_generator.state == state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        m_frac=st.floats(0.0, 1.0),
+        trials=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([0, 2, 5]),
+        block=st.sampled_from([1, 7, None]),
+    )
+    def test_matches_brute_force_search(self, n, d, m_frac, trials, seed, levels, block):
+        X = np.random.default_rng(seed).random((n, d))
+        if levels:  # repeated coordinate values, distinct rows: the clamp sets the bound
+            X = np.unique(np.round(X * levels) / levels, axis=0)
+            assume(X.shape[0] >= 2)
+            n = X.shape[0]
+        m = 2 + int(m_frac * (n - 2))
+        block_bytes = designs._SEARCH_BLOCK_BYTES if block is None else block * 8 * m * d
+        with mock.patch.object(designs, "_SEARCH_BLOCK_BYTES", block_bytes):
+            sel = select_knots(X, m, trials=trials, seed=seed)
+        idx, score = _select_knots_brute(X, m, trials, seed)
+        assert sel.indices.dtype == idx.dtype
+        np.testing.assert_array_equal(sel.indices, idx)
+        assert sel.criterion == score
+
+    def test_matches_brute_force_across_blocks(self):
+        # 16 MB holds 625 subsets of 50 knots in 64 coordinates: three blocks
+        X = np.random.default_rng(11).random((200, 64))
+        sel = select_knots(X, 50, trials=1300, seed=4)
+        idx, score = _select_knots_brute(X, 50, 1300, 4)
+        np.testing.assert_array_equal(sel.indices, idx)
+        assert sel.criterion == score
 
     def test_default_knot_count(self):
         assert default_knot_count(4) == 40

@@ -464,6 +464,14 @@ class TestPredictAndSerialization:
         with pytest.raises(DimensionMismatch):
             predict(model, rng.random((3, 5)))
 
+    def test_non_finite_query_points(self, rng):
+        for model in self._models(rng):
+            xs = rng.random((6, model.knots.d))
+            xs[2, 0] = np.nan
+            xs[4, -1] = -np.inf
+            with pytest.raises(NonFiniteInput, match="query points have 2 NaN or inf"):
+                predict(model, xs)
+
     def test_json_round_trip_is_prediction_identical(self, rng):
         xs2 = rng.random((40, 2))
         xs1 = rng.random((40, 1))
