@@ -59,8 +59,9 @@ def _read_table(path):
         raise ReconstructError(f"{path}: expected a header row")
     names = list(data.dtype.names)
     cols = {name: np.atleast_1d(data[name]).astype(float) for name in names}
-    if any(np.isnan(v).any() for v in cols.values()):
-        raise ReconstructError(f"{path}: non-numeric entries")
+    # genfromtxt reads a non-numeric cell as nan and "inf" as infinity
+    if not all(np.isfinite(v).all() for v in cols.values()):
+        raise ReconstructError(f"{path}: non-numeric or infinite entries")
     return names, cols
 
 

@@ -86,7 +86,9 @@ def select_knots(X, m: int, trials: int = DEFAULT_SUBSET_TRIALS, seed=None) -> K
     The bound costs one sort of the m values per coordinate, computed for a
     block of subsets at once; the per-subset draw is then most of the time.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    # a 1-D array is n scalar candidates, as in knot_criterion and as_knots
+    X = X[:, None] if X.ndim == 1 else np.atleast_2d(X)
     n, d = X.shape
     bad = np.count_nonzero(~np.isfinite(X))
     if bad:

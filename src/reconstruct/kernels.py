@@ -20,6 +20,10 @@ DEFAULT_GAUSSIAN_RATE = 12.5
 
 _SUPPORTED_NU = (0.5, 1.5, 2.5)
 
+#: Entries per row block of the n x m passes (256 KiB of floats): a block
+#: and its temporaries stay in cache however large the whole matrix is.
+CACHE_BLOCK_FLOATS = 2**15
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -77,15 +81,25 @@ def matern_kernel(nu: float, phi: float) -> KernelSpec:
     return KernelSpec(family="matern", nu=float(nu), phi=float(phi))
 
 
-def _matern_1d(z: np.ndarray, nu: float) -> np.ndarray:
-    # closed forms of the half-integer Matern profile; z >= 0
+def _matern_1d(z: np.ndarray, nu: float, out=None, tmp=None) -> np.ndarray:
+    # closed forms of the half-integer Matern profile at z >= 0, written to
+    # ``out`` with ``tmp`` as scratch; each entry follows the formula's order
+    if nu not in _SUPPORTED_NU:
+        raise UnsupportedNu(f"matern nu={nu} unsupported")
+    out = np.empty_like(z) if out is None else out
     if nu == 0.5:
-        return np.exp(-z)
-    if nu == 1.5:
-        return (1.0 + z) * np.exp(-z)
+        np.negative(z, out=out)
+        return np.exp(out, out=out)
+    tmp = np.empty_like(z) if tmp is None else tmp
+    np.add(1.0, z, out=out)
     if nu == 2.5:
-        return (1.0 + z + z**2 / 3.0) * np.exp(-z)
-    raise UnsupportedNu(f"matern nu={nu} unsupported")
+        np.square(z, out=tmp)
+        tmp /= 3.0
+        out += tmp
+    np.negative(z, out=tmp)
+    np.exp(tmp, out=tmp)
+    out *= tmp
+    return out
 
 
 def kernel_value(spec: KernelSpec, h) -> float:
@@ -122,21 +136,40 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
             f"point sets have {P.shape[1]} and {Q.shape[1]} columns"
         )
     d = P.shape[1]
-    if spec.family == "gaussian":
-        if d != len(spec.theta):
-            raise DimensionMismatch(
-                f"points have {d} coordinates, kernel expects {len(spec.theta)}"
-            )
-        acc = np.zeros((P.shape[0], Q.shape[0]))
-        for j in range(d):
-            acc += spec.theta[j] * (P[:, j, None] - Q[None, :, j]) ** 2
-        np.exp(-acc, out=acc)
-        return acc
-    out = np.ones((P.shape[0], Q.shape[0]))
-    c = 2.0 * math.sqrt(spec.nu) / spec.phi
-    for j in range(d):
-        z = c * np.abs(P[:, j, None] - Q[None, :, j])
-        out *= _matern_1d(z, spec.nu)
+    if spec.family == "gaussian" and d != len(spec.theta):
+        raise DimensionMismatch(
+            f"points have {d} coordinates, kernel expects {len(spec.theta)}"
+        )
+    # Row blocks of about CACHE_BLOCK_FLOATS entries stay in cache while the
+    # d coordinate terms accumulate; every entry sees the same operations in
+    # the same order as a whole-array broadcast, so the result is identical.
+    out = np.empty((P.shape[0], Q.shape[0]))
+    QT = np.ascontiguousarray(Q.T)
+    rows = max(1, CACHE_BLOCK_FLOATS // Q.shape[0])
+    c = None if spec.family == "gaussian" else 2.0 * math.sqrt(spec.nu) / spec.phi
+    # one temporary per block; Matern also needs two for _matern_1d
+    bufs = np.empty((1 if c is None else 3, min(rows, P.shape[0]), Q.shape[0]))
+    for s in range(0, P.shape[0], rows):
+        Pb, acc = P[s : s + rows], out[s : s + rows]
+        k = acc.shape[0]
+        tb = bufs[0, :k]
+        if c is None:
+            # acc = sum_j theta_j (p_j - q_j)^2, then exp(-acc)
+            acc.fill(0.0)
+            for j in range(d):
+                np.subtract(Pb[:, j, None], QT[j], out=tb)
+                np.square(tb, out=tb)
+                np.multiply(spec.theta[j], tb, out=tb)
+                acc += tb
+            np.negative(acc, out=acc)
+            np.exp(acc, out=acc)
+        else:
+            acc.fill(1.0)
+            for j in range(d):
+                np.subtract(Pb[:, j, None], QT[j], out=tb)
+                np.abs(tb, out=tb)
+                np.multiply(c, tb, out=tb)
+                acc *= _matern_1d(tb, spec.nu, out=bufs[1, :k], tmp=bufs[2, :k])
     return out
 
 

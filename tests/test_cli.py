@@ -117,8 +117,17 @@ class TestFitPredict:
         pred = tmp_path / "pred.csv"
         rc = dispatch(["predict", "--model", str(out), "--data", str(pts), "--out", str(pred)])
         assert rc == 2
-        assert "query points have 1 NaN or inf entries" in capsys.readouterr().err
+        assert f"{pts}: non-numeric or infinite entries" in capsys.readouterr().err
         assert not pred.exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_rejected_at_read(self, tmp_path, cell, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text(f"x1,y\n0.1,1.0\n0.5,{cell}\n0.9,2.0\n")
+        rc = dispatch(["knots", "select", "--data", str(data), "--m", "2", "--trials", "3",
+                       "--out", str(tmp_path / "k.json")])
+        assert rc == 2
+        assert f"{data}: non-numeric or infinite entries" in capsys.readouterr().err
 
     def test_inspect(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv

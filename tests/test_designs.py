@@ -143,6 +143,14 @@ class TestSelectKnots:
         with pytest.raises(ValueError):
             select_knots(rng.random((4, 1)), 5, trials=1, seed=0)
 
+    def test_1d_array_is_n_scalar_candidates(self, rng):
+        x = rng.random(50)
+        sel = select_knots(x, 5, trials=40, seed=3)
+        col = select_knots(x[:, None], 5, trials=40, seed=3)
+        assert sel.knots.points.shape == (5, 1)
+        np.testing.assert_array_equal(sel.indices, col.indices)
+        assert sel.criterion == col.criterion == knot_criterion(x[sel.indices])
+
     def test_non_finite_candidates(self, rng):
         X = rng.random((40, 3))
         X[:7, 1] = np.nan

@@ -384,24 +384,117 @@ class TestKernelParamEstimation:
     def test_line_search_stops_before_forty_evaluations(self, monkeypatch):
         counts = []
         search = estimators._BcdState.coordinate_search
-        objective = estimators._BcdState._objective_from_kernels
+        evaluate = estimators._BcdState.objective_and_slope
 
         def counting_search(self, *args):
             counts.append(0)
             return search(self, *args)
 
-        def counting_objective(self, *args):
+        def counting_evaluate(self, *args):
             counts[-1] += 1
-            return objective(self, *args)
+            return evaluate(self, *args)
 
         monkeypatch.setattr(estimators._BcdState, "coordinate_search", counting_search)
-        monkeypatch.setattr(estimators._BcdState, "_objective_from_kernels", counting_objective)
+        monkeypatch.setattr(estimators._BcdState, "objective_and_slope", counting_evaluate)
+        total = 0
         for s in range(3):
             r = np.random.default_rng(100 + s)
             X = r.random((80, 2))
             y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.2 * r.normal(size=80)
-            estimate_kernel_params(X, y, separated_points(r, 8, 2), "constant+linear", max_iter=4)
-        assert counts and max(counts) < 40
+            kp = estimate_kernel_params(X, y, separated_points(r, 8, 2), "constant+linear", max_iter=4)
+            total += kp.evaluations
+        assert counts and min(counts) > 0 and max(counts) < 40
+        assert sum(counts) == total
+
+    @staticmethod
+    def _borehole_draw():
+        data = simulate("borehole", 300, seed=5)
+        return data.X, data.y, data.X[np.sort(np.random.default_rng(6).choice(300, 20, replace=False))]
+
+    def test_at_most_eight_evaluations_per_search(self):
+        X, y, A = self._borehole_draw()
+        kp = estimate_kernel_params(X, y, A, "constant+linear", max_iter=3, tol=0.0)
+        assert not kp.converged
+        assert kp.evaluations / (3 * 8) <= 8
+
+    def test_search_does_not_depend_on_the_units_of_y(self):
+        # f and f' scale with y**2; the search must not stop early on small y
+        X, y, A = self._borehole_draw()
+        ref = estimate_kernel_params(X, y, A, "constant+linear", max_iter=3, tol=0.0)
+        for c in (1e-3, 1e3):
+            kp = estimate_kernel_params(X, c * y, A, "constant+linear", max_iter=3, tol=0.0)
+            assert kp.evaluations == ref.evaluations
+            np.testing.assert_allclose(kp.theta, ref.theta, rtol=1e-8)
+            np.testing.assert_allclose(kp.objective_trace, c**2 * np.array(ref.objective_trace),
+                                       rtol=1e-8)
+
+    def test_theta0_outside_the_bracket(self, rng):
+        X = rng.random((60, 2))
+        y = np.sin(3 * X[:, 0]) * X[:, 1]
+        A = separated_points(rng, 6, 2)
+        kp = estimate_kernel_params(X, y, A, "constant", theta0=[1e-5, 1e5], max_iter=2)
+        assert np.all(np.isfinite(kp.objective_trace))
+        assert np.all(np.diff(kp.objective_trace) <= 0)
+        for theta0 in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="positive, finite"):
+                estimate_kernel_params(X, y, A, "constant", theta0=theta0)
+
+    def test_converged_when_tol_stops_the_sweeps(self, rng):
+        X = rng.random((60, 2))
+        A = separated_points(rng, 6, 2)
+        kp = estimate_kernel_params(X, np.full(60, 2.5), A, "constant", max_iter=5)
+        assert kp.converged and len(kp.objective_trace) < 7
+        assert kp.evaluations > 0
+
+    @pytest.mark.parametrize("g_kind", ["constant+linear", "none"])
+    @pytest.mark.parametrize("block_rows", [7, None])
+    def test_slope_matches_central_differences(self, monkeypatch, g_kind, block_rows):
+        r = np.random.default_rng(21)
+        X = r.random((150, 3))
+        y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.2 * r.normal(size=150)
+        A = separated_points(r, 12, 3)
+        if block_rows:
+            monkeypatch.setattr(estimators, "CACHE_BLOCK_FLOATS", block_rows * 12)
+        state = estimators._BcdState(X, y, KnotSet(A), g_kind, np.array([3.0, 20.0, 0.5]))
+        gamma = state.gamma_step()[0]
+        G, GA = regression_matrix(g_kind, X), regression_matrix(g_kind, A)
+        for j in range(3):
+            state.begin_search(j)
+            for t in (-1.99, -1.2, 0.4, 1.7, 2.99):  # near both bounds and inside
+                f, slope = state.objective_and_slope(j, t, gamma)
+                theta = state.theta.copy()
+                theta[j] = 10.0**t
+                spec = gaussian_kernel(theta)
+                u, w = numerics.spd_factor(kernel_matrix(spec, A, A)).gls(GA, gamma)
+                res = y - G @ u - kernel_matrix(spec, X, A) @ w
+                assert f == pytest.approx(res @ res / 150, rel=1e-10)
+                h = 1e-5
+                central = (state.objective_and_slope(j, t + h, gamma)[0]
+                           - state.objective_and_slope(j, t - h, gamma)[0]) / (2 * h)
+                assert slope == pytest.approx(central, rel=1e-6, abs=1e-9)
+
+    def test_unmoved_rate_skips_an_identical_gamma_step(self, monkeypatch):
+        # a few of the 24 searches leave their rate where it was
+        X, y, A = self._borehole_draw()
+        search = estimators._BcdState.coordinate_search
+        moves = []
+
+        def recording(self, *args):
+            current, moved = search(self, *args)
+            moves.append(moved)
+            return current, moved
+
+        def always_moved(self, *args):
+            return search(self, *args)[0], True
+
+        monkeypatch.setattr(estimators._BcdState, "coordinate_search", recording)
+        skipped = estimate_kernel_params(X, y, A, "constant+linear", max_iter=3, tol=0.0)
+        monkeypatch.setattr(estimators._BcdState, "coordinate_search", always_moved)
+        stepped = estimate_kernel_params(X, y, A, "constant+linear", max_iter=3, tol=0.0)
+        assert any(moves) and not all(moves)
+        for a, b in ((skipped.theta, stepped.theta), (skipped.gamma_hat, stepped.gamma_hat),
+                     (np.array(skipped.objective_trace), np.array(stepped.objective_trace))):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_model_is_well_formed(self, rng):
         X = rng.random((70, 2))

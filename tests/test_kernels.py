@@ -1,10 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gamma as gamma_fn, kv
 
+from reconstruct import kernels
 from reconstruct.errors import DimensionMismatch, UnsupportedNu
 from reconstruct.kernels import (
     KernelSpec,
@@ -124,6 +127,67 @@ class TestKernelMatrix:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             kernel_matrix(gaussian_kernel([1.0]), np.zeros((0, 1)), [[0.1]])
+
+
+def _kernel_matrix_broadcast(spec, P, Q):
+    """The whole-array formula kernel_matrix must reproduce bit for bit."""
+    d = P.shape[1]
+    if spec.family == "gaussian":
+        acc = np.zeros((P.shape[0], Q.shape[0]))
+        for j in range(d):
+            acc += spec.theta[j] * (P[:, j, None] - Q[None, :, j]) ** 2
+        return np.exp(-acc)
+    out = np.ones((P.shape[0], Q.shape[0]))
+    c = 2.0 * math.sqrt(spec.nu) / spec.phi
+    for j in range(d):
+        z = c * np.abs(P[:, j, None] - Q[None, :, j])
+        if spec.nu == 0.5:
+            out *= np.exp(-z)
+        elif spec.nu == 1.5:
+            out *= (1.0 + z) * np.exp(-z)
+        else:
+            out *= (1.0 + z + z**2 / 3.0) * np.exp(-z)
+    return out
+
+
+def _spec(family, d, rng):
+    if family == "gaussian":
+        return gaussian_kernel(10.0 ** rng.uniform(-2.0, 3.0, d))
+    return matern_kernel(family, rng.uniform(0.05, 2.0))
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBlockedKernelMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        l=st.integers(1, 50),
+        d=st.integers(1, 4),
+        family=st.sampled_from(["gaussian", 0.5, 1.5, 2.5]),
+        block=st.sampled_from([1, 7, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_broadcast_formula(self, k, l, d, family, block, seed):
+        rng = np.random.default_rng(seed)
+        P, Q = rng.random((k, d)), rng.random((l, d))
+        spec = _spec(family, d, rng)
+        floats = kernels.CACHE_BLOCK_FLOATS if block is None else block
+        with mock.patch.object(kernels, "CACHE_BLOCK_FLOATS", floats):
+            K = kernel_matrix(spec, P, Q)
+        _assert_bitwise_equal(K, _kernel_matrix_broadcast(spec, P, Q))
+
+    @pytest.mark.parametrize("family", ["gaussian", 0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("k, l", [(1, 300), (1, 2**15 + 3), (3, 2**15 + 3), (410, 80), (2000, 97)])
+    def test_matches_broadcast_formula_at_real_blocks(self, family, k, l):
+        # one row; more columns than a block holds; a few rows past a block
+        rng = np.random.default_rng(k + l)
+        P, Q = rng.random((k, 3)), rng.random((l, 3))
+        spec = _spec(family, 3, rng)
+        _assert_bitwise_equal(kernel_matrix(spec, P, Q), _kernel_matrix_broadcast(spec, P, Q))
 
 
 class TestFactoredCorrelation:
