@@ -40,6 +40,7 @@ from .estimators import (
 )
 from .kernels import DEFAULT_GAUSSIAN_RATE, default_gaussian, gaussian_kernel
 from .interpolators import KnotSet
+from .tables import read_table
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -533,14 +534,9 @@ def load_ccpp(path) -> Dataset:
     original units.  A row count other than 9568 is recorded as a
     warning, not an error.
     """
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    if raw.dtype.names is None or tuple(raw.dtype.names) != CCPP_COLUMNS:
-        raise BadSchema(
-            f"expected columns {CCPP_COLUMNS}, found {raw.dtype.names}"
-        )
-    table = np.column_stack([raw[c] for c in CCPP_COLUMNS]).astype(float)
-    if np.isnan(table).any():
-        raise BadSchema("non-numeric entries in the data file")
+    names, table = read_table(path)
+    if tuple(names) != CCPP_COLUMNS:
+        raise BadSchema(f"{path}: expected columns {CCPP_COLUMNS}, found {tuple(names)}")
     n_rows = table.shape[0]
     meta = {"row_count": int(n_rows)}
     if n_rows != CCPP_EXPECTED_ROWS:

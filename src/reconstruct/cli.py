@@ -42,6 +42,7 @@ from .estimators import (
 )
 from .interpolators import KnotSet, regression_matrix
 from .kernels import default_gaussian, gaussian_kernel, kernel_matrix
+from .tables import read_table
 
 
 class _UsageError(Exception):
@@ -53,26 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_table(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None:
-        raise ReconstructError(f"{path}: expected a header row")
-    names = list(data.dtype.names)
-    cols = {name: np.atleast_1d(data[name]).astype(float) for name in names}
-    # genfromtxt reads a non-numeric cell as nan and "inf" as infinity
-    if not all(np.isfinite(v).all() for v in cols.values()):
-        raise ReconstructError(f"{path}: non-numeric or infinite entries")
-    return names, cols
-
-
 def _read_xy(path, need_y=True):
-    names, cols = _read_table(path)
+    """Features and response of a CSV table: the first column named ``y``
+    is the response, every other column a feature, in file order."""
+    names, table = read_table(path)
     if "y" in names:
-        X = np.column_stack([cols[n] for n in names if n != "y"])
-        return X, cols["y"]
+        j = names.index("y")
+        return np.delete(table, j, axis=1), table[:, j].copy()
     if need_y:
         raise ReconstructError(f"{path}: no 'y' column")
-    return np.column_stack([cols[n] for n in names]), None
+    return table, None
 
 
 def _write_json(path, obj):
@@ -251,8 +242,7 @@ def _cmd_predict(args):
     preds = predict(model, X)
     with open(args.out, "w") as fh:
         fh.write("prediction\n")
-        for v in preds:
-            fh.write(f"{float(v)!r}\n")
+        fh.writelines(f"{v!r}\n" for v in preds.tolist())
     return 0
 
 

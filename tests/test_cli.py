@@ -1,9 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from reconstruct.cli import dispatch
+from reconstruct.cli import _read_xy, dispatch
 from reconstruct.designs import select_knots
 from reconstruct.estimators import _gcv_curve, _subset_spectrum, model_from_json, predict
 from reconstruct.interpolators import KnotSet
@@ -18,6 +21,23 @@ def train_csv(tmp_path, rng):
     lines = ["x1,x2,y"] + [f"{float(a)!r},{float(b)!r},{float(c)!r}" for (a, b), c in zip(X, y)]
     path.write_text("\n".join(lines) + "\n")
     return path, X, y
+
+
+def _genfromtxt_xy(path):
+    """The CLI's reader of a table with a ``y`` column before tables went
+    through np.loadtxt, kept as the reference that the current reader must
+    match bitwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    names = list(data.dtype.names)
+    cols = {name: np.atleast_1d(data[name]).astype(float) for name in names}
+    return np.column_stack([cols[n] for n in names if n != "y"]), cols["y"]
+
+
+def _assert_bitwise(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 class TestBasics:
@@ -44,6 +64,64 @@ class TestBasics:
         assert rc == 2
 
 
+class TestCsvReader:
+    @pytest.mark.parametrize("text", [
+        "x1 , y\n0.5,2\n0.25,3\n",
+        '"x1", "y"\n0.5,2\n0.25,3\n',
+        "# x1,y\n0.1,1\n0.2,2\n",
+        "\n\nx1,y\n0.1,1\n0.2,2\n",
+        "x1,y\n0.1,1\n# note\n\n0.2,2 # tail\n0.3,3\n",
+        "x1,x2,y\r\n0.1,0.5,1\r\n0.2,0.75,2\r\n",
+        "x1,x2,y\n0.1,0.5,1\n",
+        "x1,x2,y\n",
+        "x,y,y\n1,2,3\n4,5,6\n",
+    ], ids=["spaced-header", "quoted-header", "hash-header", "blank-before-header", "comments-between-rows",
+            "crlf", "one-row", "header-only", "two-y-columns"])
+    def test_matches_genfromtxt(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, y = _read_xy(path)
+        X_ref, y_ref = _genfromtxt_xy(path)
+        _assert_bitwise(X, X_ref)
+        _assert_bitwise(y, y_ref)
+
+    @pytest.mark.parametrize("text", [
+        "x1,y\n0.1,1\n0.2\n",
+        "x1,y\n0.1,1,5\n0.2,2,6\n",
+        "x1,y\n0.1,\n",
+        "x1,y\n0.1,hello\n",
+        "x1,y\n0.1,inf\n",
+        "x1,y\n0.1,nan\n",
+        "",
+    ], ids=["ragged", "extra-column", "empty-cell", "text", "inf", "nan", "empty-file"])
+    def test_rejected_naming_the_file(self, tmp_path, text, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        rc = dispatch(["fit", "--data", str(path), "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert f"{path}: " in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(2, 5)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)),
+        y_at=st.integers(0, 4),
+        fmt=st.sampled_from(["{!r}", "{:.17g}"]),
+    )
+    def test_random_tables_match_genfromtxt(self, tmp_path_factory, table, y_at, fmt):
+        names = [f"x{j + 1}" for j in range(table.shape[1] - 1)]
+        names.insert(y_at % table.shape[1], "y")
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text(",".join(names) + "\n" + "".join(
+            ",".join(fmt.format(v) for v in row) + "\n" for row in table.tolist()))
+        X, y = _read_xy(path)
+        X_ref, y_ref = _genfromtxt_xy(path)
+        _assert_bitwise(X, X_ref)
+        _assert_bitwise(y, y_ref)
+
+
 class TestFitPredict:
     def test_round_trip_matches_in_process(self, tmp_path, train_csv, capsys):
         path, X, y = train_csv
@@ -64,6 +142,43 @@ class TestFitPredict:
         got = np.array([float(v) for v in pred_csv.read_text().splitlines()[1:]])
         expect = predict(model, Xs)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_prediction_file_bytes(self, tmp_path, train_csv, capsys):
+        path, _, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "gprr", "--m", "10",
+                         "--seed", "7", "--out", str(out)]) == 0
+        Xs = np.random.default_rng(6).random((25, 2))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in Xs.tolist()))
+        pred_csv = tmp_path / "pred.csv"
+        assert dispatch(["predict", "--model", str(out), "--data", str(pts),
+                         "--out", str(pred_csv)]) == 0
+        expect = predict(model_from_json(json.loads(out.read_text())), Xs)
+        text = "prediction\n" + "".join(f"{v!r}\n" for v in expect.tolist())
+        assert pred_csv.read_bytes() == text.encode()
+        _assert_bitwise(np.loadtxt(pred_csv, skiprows=1, ndmin=1), expect)
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+    def test_fit_without_header_is_data_error(self, tmp_path, text, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        rc = dispatch(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert f"{data}: expected a header row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+    def test_predict_without_header_is_data_error(self, tmp_path, train_csv, text, capsys):
+        path, _, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "krr", "--out", str(out)]) == 0
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        pred = tmp_path / "pred.csv"
+        rc = dispatch(["predict", "--model", str(out), "--data", str(data), "--out", str(pred)])
+        assert rc == 2
+        assert f"{data}: expected a header row" in capsys.readouterr().err
+        assert not pred.exists()
 
     def test_refit_is_byte_identical(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
