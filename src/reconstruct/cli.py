@@ -279,7 +279,8 @@ def _cmd_gcv_scan(args):
 
 
 def _cmd_knots(args):
-    X, y = _read_xy(args.data)
+    # knot selection reads the features only; the sequential study fits y
+    X, y = _read_xy(args.data, need_y=args.knots_command != "select")
     if args.knots_command == "select":
         _require_seed(args)
         sel = select_knots(X, args.m, trials=args.trials, seed=args.seed)

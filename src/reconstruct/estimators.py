@@ -116,10 +116,14 @@ def _as_xy(X, y):
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != X.shape[0]:
         raise LengthMismatch(f"y has {y.shape[0]} entries, X has {X.shape[0]} rows")
-    for name, a in (("X", X), ("y", y)):
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput(f"{name} has {np.count_nonzero(~np.isfinite(a))} NaN or inf entries")
+    _require_finite("X", X)
+    _require_finite("y", y)
     return X, y
+
+
+def _require_finite(name, a):
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInput(f"{name} has {np.count_nonzero(~np.isfinite(a))} NaN or inf entries")
 
 
 def predict(model: FittedModel, Xstar) -> np.ndarray:
@@ -509,6 +513,7 @@ def _fdp_rss_and_dof(y, lam):
 def fdp_gcv(y, lam):
     """GCV of the second-difference ridge at one lambda or an array of them."""
     y = np.asarray(y, dtype=float).ravel()
+    _require_finite("y", y)
     curve = _gcv_curve(y.shape[0], *_fdp_rss_and_dof(y, lam))
     return curve if np.ndim(lam) else float(curve[0])
 
@@ -523,6 +528,7 @@ def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
     n = y.shape[0]
     if n < 3:
         raise DimensionMismatch("the finite-difference fit needs at least 3 points")
+    _require_finite("y", y)
     lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, lambda g: _fdp_rss_and_dof(y, g))
     gamma = banded_spd_solve(fdp_system(n, lam), y)
     x = np.linspace(0.0, 1.0, n)

@@ -12,7 +12,8 @@ factor, so no inverse of a correlation matrix or of a GLS system is formed.
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
 from which its residual and trace at every lambda of a grid follow in
 O(len(d)) each.  The pentadiagonal finite-difference smoother gets its
-exact trace for a whole lambda grid in one O(n) pass.
+exact trace in O(n) per lambda: a banded Cholesky factor, then one LAPACK
+back-substitution for the band of the inverse.
 """
 
 from __future__ import annotations
@@ -29,15 +30,12 @@ from scipy.linalg import (
     solve_triangular,
 )
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
 
 JITTER_LADDER = (0.0, 1e-10, 1e-8)
 _EPS = np.finfo(float).eps
-
-# Floats of Takahashi multipliers held at once: 3 per point and lambda,
-# so a 50-point grid is one pass up to about 5x10^4 points.
-_TRACE_CHUNK_FLOATS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -303,59 +301,53 @@ def fdp_residual_and_trace(y, lam):
     array over ``lam``.
 
     Exact for every n (Hutchinson & de Hoog 1985).  One banded Cholesky
-    factor per lambda gives the residual and the multipliers of the
-    Takahashi recurrence for the diagonal of A^{-1}.  The recurrence then
-    runs once over the n points with every step vectorized across lambda,
-    keeping only the three inverse entries the band needs.  Long grids on
-    many points are taken in chunks of lambda to bound memory.  A lambda
-    whose factor fails gets NaN for both, which GCV scores as +inf.
+    factor A = L D L' per lambda gives the residual and the multipliers
+    p_i = L[i+1, i], q_i = L[i+2, i] of the Takahashi recurrence for the
+    band of Z = A^{-1}.  With a_i, b_i, c_i = Z[i, i], Z[i, i+1], Z[i, i+2]
+    the recurrence is the unit upper-triangular system
+
+        a_i + p_i b_i + q_i c_i = 1/D_i,
+        b_i + p_i a_{i+1} + q_i b_{i+1} = 0,
+        c_i + p_i b_{i+1} + q_i a_{i+2} = 0
+
+    in the 3n unknowns (a_i, b_i, c_i) point by point, of bandwidth 4, so
+    one LAPACK back-substitution per lambda gives the diagonal of A^{-1}.
+    A lambda whose factor fails gets NaN for both, which GCV scores as +inf.
     """
     y = np.asarray(y, dtype=float).ravel()
+    n = y.shape[0]
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    rss, tr = np.empty(lams.shape[0]), np.empty(lams.shape[0])
-    step = max(1, _TRACE_CHUNK_FLOATS // (3 * y.shape[0]))
-    for s in range(0, lams.shape[0], step):
-        rss[s : s + step], tr[s : s + step] = _fdp_pass(y, lams[s : s + step])
-    return rss, tr
-
-
-def _fdp_pass(y, lams):
-    """One Takahashi pass of :func:`fdp_residual_and_trace` over all of lams."""
-    n, k = y.shape[0], lams.shape[0]
-    rss = np.empty(k)
-    # A = L D L' with L unit lower: l1[i] = L[i+1, i], l2[i] = L[i+2, i]
-    l1 = np.zeros((n, k))
-    l2 = np.zeros((n, k))
-    dinv = np.empty((n, k))
+    rss, tr = np.full(lams.shape[0], np.nan), np.full(lams.shape[0], np.nan)
+    # the system in upper band storage, its (r, c) entry at ab[4 + r - c, c];
+    # Fortran order, as dtbtrs reads it, so no call copies it
+    ab = np.zeros((5, 3 * n), order="F")
+    ab[4] = 1.0
     for j, lam_j in enumerate(lams):
         try:
             U = _banded_factor(fdp_system(n, lam_j))
         except NotPositiveDefinite:
             # n*lam beyond about 1e16: no residual or trace at this lambda
-            rss[j] = dinv[:, j] = l1[:, j] = l2[:, j] = np.nan
             continue
         r = y - cho_solve_banded((U, False), y)
         rss[j] = r @ r
-        dinv[:, j] = 1.0 / U[2] ** 2
-        l1[:-1, j] = U[1, 1:] / U[2, :-1]
-        l2[:-2, j] = U[0, 2:] / U[2, :-2]
-    # a = Z[i+1, i+1], b = Z[i+1, i+2], c = Z[i+2, i+2] of Z = A^{-1}
-    a = b = c = np.zeros(k)
-    tr = np.zeros(k)
-    for i in range(n - 1, -1, -1):
-        p, q = l1[i], l2[i]
-        z02 = -(p * b + q * c)
-        z01 = -(p * a + q * b)
-        a, b, c = dinv[i] - (p * z01 + q * z02), z01, a
-        tr += a
+        p = U[1, 1:] / U[2, :-1]
+        q = U[0, 2:] / U[2, :-2]
+        # p_i at (3i, 3i+1), (3i+1, 3i+3), (3i+2, 3i+4);
+        # q_i at (3i, 3i+2), (3i+1, 3i+4), (3i+2, 3i+6)
+        ab[3, 1:-3:3] = ab[2, 3::3] = ab[2, 4::3] = p
+        ab[2, 2:-6:3] = ab[1, 4:-3:3] = ab[0, 6::3] = q
+        rhs = np.zeros(3 * n)
+        rhs[0::3] = 1.0 / U[2] ** 2
+        x, _ = dtbtrs(ab, rhs, overwrite_b=1, diag="U")
+        tr[j] = x[0::3].sum()
     return rss, tr
 
 
 def fdp_hat_trace(n: int, lam):
     """trace((n*lam*M'M + I)^{-1}) for the pentadiagonal smoothing system.
 
-    Exact for every n; ``lam`` may be a number or an array, and a whole
-    grid costs one pass (see :func:`fdp_residual_and_trace`).
+    Exact for every n; ``lam`` may be a number or an array, each lambda
+    costing O(n) (see :func:`fdp_residual_and_trace`).
     """
     tr = fdp_residual_and_trace(np.zeros(n), lam)[1]
     return tr if np.ndim(lam) else float(tr[0])

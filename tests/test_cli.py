@@ -309,6 +309,30 @@ class TestScansAndKnots:
         payload = json.loads(out.read_text())
         assert len(payload["indices"]) == 8
 
+    @pytest.fixture
+    def xonly_csv(self, tmp_path, train_csv):
+        """The features of ``train_csv`` without its y column."""
+        path = tmp_path / "xonly.csv"
+        path.write_text("x1,x2\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in train_csv[1]) + "\n")
+        return path
+
+    def test_knots_select_needs_no_y_column(self, tmp_path, train_csv, xonly_csv, capsys):
+        path, xonly = train_csv[0], xonly_csv
+        args = ["knots", "select", "--m", "5", "--trials", "50", "--seed", "1", "--out"]
+        with_y, without_y = tmp_path / "with_y.json", tmp_path / "without_y.json"
+        assert dispatch(args + [str(with_y), "--data", str(path)]) == 0
+        assert dispatch(args + [str(without_y), "--data", str(xonly)]) == 0
+        assert json.loads(without_y.read_text()) == json.loads(with_y.read_text())
+
+    def test_knots_sequential_still_needs_y(self, tmp_path, xonly_csv, capsys):
+        assert dispatch([
+            "knots", "sequential", "--data", str(xonly_csv), "--m0", "6",
+            "--iterations", "1", "--trials", "50", "--seed", "8",
+            "--out", str(tmp_path / "traj.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(xonly_csv) in err and "no 'y' column" in err
+
 
 class TestBench:
     def test_seed_required(self, tmp_path, capsys):

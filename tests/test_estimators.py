@@ -308,6 +308,16 @@ class TestFdp:
         with pytest.raises(DimensionMismatch):
             fit_fdp(np.array([1.0, 2.0]), 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("policy", ["gcv", 0.1])
+    def test_non_finite_y_raises_at_the_boundary(self, bad, policy):
+        y = np.array([1.0, bad, 2.0, 3.0, bad, 4.0])
+        with pytest.raises(NonFiniteInput, match="y has 2 NaN or inf entries"):
+            fit_fdp(y, policy)
+        lam = default_lambda_grid() if policy == "gcv" else policy
+        with pytest.raises(NonFiniteInput, match="y has 2 NaN or inf entries"):
+            fdp_gcv(y, lam)
+
     def test_failed_factor_scores_infinite_gcv(self):
         # the banded factor fails once n*lam reaches about 1e16; the search
         # skips those lambdas instead of aborting

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reconstruct import numerics
 from reconstruct.errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
+from reconstruct.estimators import DEFAULT_LAMBDA_GRID
 from reconstruct.numerics import (
     BandedSpdMatrix,
     banded_spd_solve,
@@ -177,14 +181,85 @@ class TestHatTrace:
         got_dense = hat_trace(np.eye(n), M.T @ M, lam)
         assert abs(got_dense - np.trace(H)) / np.trace(H) < 1e-8
 
-    def test_fdp_trace_in_lambda_chunks(self, monkeypatch):
+    def test_fdp_grid_entries_equal_single_lambda_calls(self, rng):
         n, lams = 300, np.logspace(-6, 2, 7)
-        whole = fdp_hat_trace(n, lams)
-        monkeypatch.setattr(numerics, "_TRACE_CHUNK_FLOATS", 3 * n * 2)
-        np.testing.assert_array_equal(fdp_hat_trace(n, lams), whole)
+        y = rng.normal(size=n)
+        rss, tr = numerics.fdp_residual_and_trace(y, lams)
+        for j, lam in enumerate(lams):
+            rss1, tr1 = numerics.fdp_residual_and_trace(y, lam)
+            assert rss1.tobytes() == rss[j : j + 1].tobytes()
+            assert tr1.tobytes() == tr[j : j + 1].tobytes()
 
     def test_fdp_exact_beyond_ten_thousand(self):
         n = 12_000
         lams = np.array([1e-8, 1e-3, 1e2])
         expect = [fdp_trace_reference(n, lam) for lam in lams]
         np.testing.assert_allclose(fdp_hat_trace(n, lams), expect, rtol=1e-10)
+
+
+def takahashi_trace(n, lams):
+    """trace((n*lam*M'M + I)^{-1}) by the Takahashi recurrence stepped point
+    by point in Python and vectorized across lambda, the package's trace
+    before it became one banded back-substitution per lambda."""
+    k = lams.shape[0]
+    l1, l2, dinv = np.zeros((n, k)), np.zeros((n, k)), np.empty((n, k))
+    for j, lam in enumerate(lams):
+        U = numerics._banded_factor(fdp_system(n, lam))
+        dinv[:, j] = 1.0 / U[2] ** 2
+        l1[:-1, j] = U[1, 1:] / U[2, :-1]
+        l2[:-2, j] = U[0, 2:] / U[2, :-2]
+    a = b = c = np.zeros(k)
+    tr = np.zeros(k)
+    for i in range(n - 1, -1, -1):
+        p, q = l1[i], l2[i]
+        z02 = -(p * b + q * c)
+        z01 = -(p * a + q * b)
+        a, b, c = dinv[i] - (p * z01 + q * z02), z01, a
+        tr += a
+    return tr
+
+
+def exact_trace(n, lam):
+    """trace(A^{-1}) in rational arithmetic for the float matrix
+    A = fdp_system(n, lam), by Gauss-Jordan elimination (A is SPD, so no
+    pivoting is needed)."""
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(fdp_system(n, lam).dense())
+    ]
+    for k in range(n):
+        pivot = rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
+    return sum(rows[i][n + i] for i in range(n))
+
+
+class TestFdpTrace:
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_matches_exact_rational_trace(self, n):
+        nl = np.logspace(-3, 9, 13)
+        got = fdp_hat_trace(n, nl / n)
+        expect = np.array([float(exact_trace(n, lam)) for lam in nl / n])
+        # a backward-stable solve is accurate to roundoff times the
+        # condition number of A, which grows like n*lam
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got / expect - 1) <= 8 * eps * np.maximum(1.0, nl))
+
+    def test_matches_point_recurrence_on_default_grid(self):
+        n = 12_000
+        np.testing.assert_allclose(
+            fdp_hat_trace(n, DEFAULT_LAMBDA_GRID),
+            takahashi_trace(n, DEFAULT_LAMBDA_GRID),
+            rtol=1e-10,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 2000), i=st.integers(0, DEFAULT_LAMBDA_GRID.shape[0] - 1))
+    @example(n=3, i=0)
+    @example(n=3, i=49)
+    @example(n=4, i=25)
+    def test_matches_point_recurrence(self, n, i):
+        lams = DEFAULT_LAMBDA_GRID[i : i + 2]
+        np.testing.assert_allclose(fdp_hat_trace(n, lams), takahashi_trace(n, lams), rtol=1e-10)
