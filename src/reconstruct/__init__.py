@@ -57,6 +57,7 @@ from .kernels import (
     default_gaussian,
     gaussian_kernel,
     kernel_matrix,
+    kernel_matvec,
     kernel_value,
     matern_kernel,
 )

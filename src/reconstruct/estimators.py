@@ -34,6 +34,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteInput,
     NotPositiveDefinite,
+    ReconstructError,
     SingularSystem,
 )
 from .interpolators import (
@@ -54,6 +55,7 @@ from .kernels import (
     KernelSpec,
     default_gaussian,
     kernel_matrix,
+    kernel_matvec,
     spec_from_json,
     spec_to_json,
 )
@@ -70,9 +72,10 @@ from .numerics import (
 DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 2.0, 50)
 
 _GCV_PLATEAU_RTOL = 1e-8
-# 16 MB kernel blocks: kernel_matrix fills the block with cache-sized
-# temporaries, so the block itself sets the peak memory of predicting with
-# many knots (a Nystrom model keeps all n)
+# Lagrange prediction in blocks of 2e6 floats (16 MB): scipy's barycentric
+# evaluation holds a few (rows, m) temporaries, and the block bounds them.
+# Kernel models need no such block: kernels.kernel_matvec works in
+# cache-sized row blocks and never holds a (rows, m) kernel matrix.
 _PREDICT_CHUNK_FLOATS = 2_000_000
 
 
@@ -146,22 +149,19 @@ def predict(model: FittedModel, Xstar) -> np.ndarray:
     if model.interpolator == "spline":
         coeffs = fit_natural_spline(model.knots.points[:, 0], model.gamma_hat)
         return np.asarray(spline_eval(coeffs, Xstar[:, 0]))
-    out = np.zeros(Xstar.shape[0])
-    if model.interpolator == "lagrange":
-        # scipy's evaluation holds a few (rows, m) temporaries: same blocks
-        def block(rows):
-            return lagrange_eval(model.knots.points[:, 0], model.gamma_hat, rows[:, 0])
-    elif model.interpolator in ("kernel", "gp"):
+    if model.interpolator in ("kernel", "gp"):
+        out = kernel_matvec(model.kernel, Xstar, model.knots.points, model.w)
         if model.beta is not None and model.beta.size:
             out += regression_matrix(model.g_kind or "none", Xstar) @ model.beta
-
-        def block(rows):
-            return kernel_matrix(model.kernel, rows, model.knots.points) @ model.w
-    else:
+        return out
+    if model.interpolator != "lagrange":
         raise ValueError(f"unknown interpolator kind {model.interpolator!r}")
-    chunk = max(1, _PREDICT_CHUNK_FLOATS // max(model.knots.m, 1))
+    out = np.empty(Xstar.shape[0])
+    chunk = max(1, _PREDICT_CHUNK_FLOATS // model.knots.m)
     for s in range(0, Xstar.shape[0], chunk):
-        out[s : s + chunk] += block(Xstar[s : s + chunk])
+        out[s : s + chunk] = lagrange_eval(
+            model.knots.points[:, 0], model.gamma_hat, Xstar[s : s + chunk, 0]
+        )
     return out
 
 
@@ -183,9 +183,23 @@ def model_to_json(model: FittedModel) -> dict:
     }
 
 
+_INTERPOLATORS = ("lagrange", "spline", "kernel", "gp")
+
+
 def model_from_json(obj: dict) -> FittedModel:
-    """Rebuild a stored model, checking every array against its knots."""
-    knots = KnotSet(np.asarray(obj["knots"], dtype=float))
+    """Rebuild a stored model, checking every field that prediction reads:
+    the interpolator's name, each array's shape against the knots and its
+    entries for NaN or inf, and the fields each interpolator needs.  A bad
+    field raises ``BadSchema`` naming it."""
+    interpolator = obj.get("interpolator")
+    if interpolator not in _INTERPOLATORS:
+        raise BadSchema(
+            f"model field 'interpolator' is {interpolator!r}; expected one of {_INTERPOLATORS}"
+        )
+    try:
+        knots = KnotSet(np.asarray(obj["knots"], dtype=float))
+    except (ValueError, ReconstructError) as exc:
+        raise BadSchema(f"model field 'knots': {exc}") from exc
     kernel = None if obj.get("kernel") is None else spec_from_json(obj["kernel"])
     if kernel is not None and kernel.d not in (None, knots.d):
         raise BadSchema(f"model field 'kernel' has {kernel.d} rates, knots have {knots.d} coordinates")
@@ -199,16 +213,27 @@ def model_from_json(obj: dict) -> FittedModel:
         a = np.asarray(v, dtype=float)
         if a.shape != (size,):
             raise BadSchema(f"model field {name!r} has shape {a.shape}, expected ({size},)")
+        bad = np.count_nonzero(~np.isfinite(a))
+        if bad:
+            raise BadSchema(f"model field {name!r} has {bad} NaN or inf entries")
         return a
 
     w = arr("w", knots.m)
-    if obj["interpolator"] in ("kernel", "gp") and (w is None or kernel is None):
+    gamma_hat = arr("gamma_hat", knots.m)
+    if interpolator in ("kernel", "gp") and (w is None or kernel is None):
         raise BadSchema("a kernel model needs the fields 'w' and 'kernel'")
+    if interpolator in ("lagrange", "spline"):
+        if gamma_hat is None:
+            raise BadSchema(f"a {interpolator} model needs the field 'gamma_hat'")
+        if knots.d != 1:
+            raise BadSchema(
+                f"model field 'knots' has {knots.d} coordinates; a {interpolator} model has 1"
+            )
     diag = obj.get("diagnostics") or {}
     return FittedModel(
-        interpolator=obj["interpolator"],
+        interpolator=interpolator,
         knots=knots,
-        gamma_hat=arr("gamma_hat", knots.m),
+        gamma_hat=gamma_hat,
         lam=float(obj["lambda"]),
         kernel=kernel,
         g_kind=g_kind,

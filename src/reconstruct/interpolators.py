@@ -20,7 +20,7 @@ from .errors import (
     SingularSystem,
     UnsortedKnots,
 )
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec, kernel_matrix, kernel_matvec
 from .numerics import SpdFactorization, spd_factor
 
 G_KINDS = ("none", "constant", "constant+linear")
@@ -217,7 +217,7 @@ def kernel_interp_eval(A, gamma, spec: KernelSpec, x):
     xs = np.asarray(x, dtype=float)
     single = xs.ndim == 1
     xs = np.atleast_2d(xs)
-    vals = kernel_matrix(spec, xs, A.points) @ w
+    vals = kernel_matvec(spec, xs, A.points, w)
     return float(vals[0]) if single else vals
 
 

@@ -4,6 +4,27 @@ Inputs are assumed pre-scaled to the unit hypercube; kernels never rescale.
 The Gaussian family carries one rate per coordinate, the Matern family a
 shared (nu, phi) pair with nu restricted to {1/2, 3/2, 5/2} so that the
 modified Bessel function collapses to a closed form.
+
+Two evaluations, for two uses:
+
+* :func:`kernel_matrix` forms every lag as a difference p - q.  Every
+  matrix that is factored, eigendecomposed or solved against comes from it
+  (knot correlations, the full-knot R, design matrices, the kernel-rate
+  search): the zero lag is exact, so such a matrix has an exact unit
+  diagonal and is exactly symmetric.
+* :func:`kernel_matvec` is ``kernel_matrix(spec, P, Q) @ w`` for products
+  that only feed a vector, as in prediction.  For the Gaussian family it
+  centres both point sets on the mean of Q and scales coordinate l by
+  sqrt(theta_l), to points a and z; the exponent
+  -sum_l theta_l (p_l - q_l)**2 = 2 a'z - |a|**2 - |z|**2 of a row block
+  is then one matrix product of the rows [2a, -|a|**2, -1] and
+  [z, 1, |z|**2], clamped at 0 so that no entry exceeds 1.  That exponent
+  is within about (3d + 12) * eps * (|a|**2 + |z|**2) of the exact one.
+  With s_l the span of coordinate l over P and Q, each result is within
+  c * eps * sum_k |w_k| * (1 + sum_l theta_l s_l**2) of the difference
+  form's product, c = 2m + 8d + 32 for m points in Q in d coordinates; c
+  includes the summation error of both products.  Matern blocks are
+  :func:`kernel_matrix` rows times w.
 """
 
 from __future__ import annotations
@@ -115,6 +136,23 @@ def kernel_value(spec: KernelSpec, h) -> float:
     return float(np.prod(_matern_1d(z, spec.nu)))
 
 
+def _point_sets(spec: KernelSpec, P, Q):
+    """P and Q as nonempty 2-D float arrays of one width that the kernel takes."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if P.size == 0 or Q.size == 0:
+        raise DimensionMismatch("point sets must be nonempty")
+    if P.shape[1] != Q.shape[1]:
+        raise DimensionMismatch(
+            f"point sets have {P.shape[1]} and {Q.shape[1]} columns"
+        )
+    if spec.family == "gaussian" and P.shape[1] != len(spec.theta):
+        raise DimensionMismatch(
+            f"points have {P.shape[1]} coordinates, kernel expects {len(spec.theta)}"
+        )
+    return P, Q
+
+
 def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
     """Cross-correlation matrix with entries R(p_i - q_j).
 
@@ -127,19 +165,8 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
     -------
     (k, l) array; symmetric with unit diagonal when P is Q.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if P.size == 0 or Q.size == 0:
-        raise DimensionMismatch("point sets must be nonempty")
-    if P.shape[1] != Q.shape[1]:
-        raise DimensionMismatch(
-            f"point sets have {P.shape[1]} and {Q.shape[1]} columns"
-        )
+    P, Q = _point_sets(spec, P, Q)
     d = P.shape[1]
-    if spec.family == "gaussian" and d != len(spec.theta):
-        raise DimensionMismatch(
-            f"points have {d} coordinates, kernel expects {len(spec.theta)}"
-        )
     # Row blocks of about CACHE_BLOCK_FLOATS entries stay in cache while the
     # d coordinate terms accumulate; every entry sees the same operations in
     # the same order as a whole-array broadcast, so the result is identical.
@@ -170,6 +197,57 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
                 np.abs(tb, out=tb)
                 np.multiply(c, tb, out=tb)
                 acc *= _matern_1d(tb, spec.nu, out=bufs[1, :k], tmp=bufs[2, :k])
+    return out
+
+
+def kernel_matvec(spec: KernelSpec, P, Q, w) -> np.ndarray:
+    """``kernel_matrix(spec, P, Q) @ w`` without building the matrix.
+
+    Evaluated in row blocks of about CACHE_BLOCK_FLOATS entries.  Gaussian
+    blocks take their exponent from one matrix product (module docstring:
+    how, and its error bound); Matern blocks, and Gaussian points so far out
+    that their squared norms overflow, are :func:`kernel_matrix` rows times w.
+
+    Parameters
+    ----------
+    P : (k, d) array
+    Q : (l, d) array
+    w : (l,) array
+
+    Returns
+    -------
+    (k,) array
+    """
+    P, Q = _point_sets(spec, P, Q)
+    w = np.asarray(w, dtype=float).ravel()
+    if w.shape[0] != Q.shape[0]:
+        raise DimensionMismatch(f"w has {w.shape[0]} entries, Q has {Q.shape[0]} rows")
+    k, m = P.shape[0], Q.shape[0]
+    rows = max(1, CACHE_BLOCK_FLOATS // m)
+    out = np.empty(k)
+    if spec.family == "gaussian":
+        root = np.sqrt(spec.theta)
+        centre = Q.mean(axis=0)
+        with np.errstate(over="ignore"):
+            a, z = (P - centre) * root, (Q - centre) * root
+            a2, z2 = np.sum(a * a, axis=1), np.sum(z * z, axis=1)
+        # |2 a'z| <= |a|^2 + |z|^2, so no partial sum of the product exceeds
+        # 2 (|a|^2 + |z|^2) in size: if that is finite, nothing overflows
+        if np.isfinite(2.0 * (a2.max() + z2.max())):
+            # rows [2a, -|a|^2, -1] and [z, 1, |z|^2]: their products are the
+            # exponents 2 a'z - |a|^2 - |z|^2
+            A = np.column_stack([2.0 * a, -a2, np.full(k, -1.0)])
+            Z = np.column_stack([z, np.ones(m), z2])
+            E = np.empty((min(rows, k), m))
+            for s in range(0, k, rows):
+                Eb = E[: min(rows, k - s)]
+                np.matmul(A[s : s + rows], Z.T, out=Eb)
+                np.minimum(Eb, 0.0, out=Eb)
+                np.exp(Eb, out=Eb)
+                out[s : s + rows] = Eb @ w
+            return out
+    for s in range(0, k, rows):
+        out[s : s + rows] = kernel_matrix(spec, P[s : s + rows], Q) @ w
     return out
 
 

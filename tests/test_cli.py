@@ -180,6 +180,29 @@ class TestFitPredict:
         assert f"{data}: expected a header row" in capsys.readouterr().err
         assert not pred.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("w", "nan"), ("beta", "inf"), ("interpolator", "wavelet"),
+    ])
+    def test_predict_with_unusable_model_is_data_error(self, tmp_path, train_csv, field, value,
+                                                       capsys):
+        path, X, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "gprr", "--m", "10",
+                         "--seed", "7", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if value == "wavelet":
+            doc[field] = value
+        else:
+            doc[field][1] = float(value)
+        out.write_text(json.dumps(doc))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in X[:5].tolist()))
+        pred = tmp_path / "pred.csv"
+        rc = dispatch(["predict", "--model", str(out), "--data", str(pts), "--out", str(pred)])
+        assert rc == 2
+        assert f"model field '{field}'" in capsys.readouterr().err
+        assert not pred.exists()
+
     def test_refit_is_byte_identical(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
         out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"

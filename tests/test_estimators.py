@@ -723,6 +723,38 @@ class TestModelJsonSchema:
         with pytest.raises(BadSchema, match=field):
             model_from_json(self._stored(rng, **{field: value}))
 
+    @staticmethod
+    def _stored_1d(interpolator, **changes):
+        kn = equispaced_knots(5)
+        model = fit_replication(replication_design(kn, 2), np.repeat(f1d(kn), 2), interpolator)
+        doc = model_to_json(model)
+        doc.update(changes)
+        return doc
+
+    @pytest.mark.parametrize("field,value", [
+        ("w", [0.1, math.nan, 0.1, 0.1, 0.1, 0.1]),
+        ("beta", [0.1, math.inf, 0.1]),
+        ("gamma_hat", [-math.inf] + [0.1] * 5),
+        ("interpolator", "wavelet"),
+        ("interpolator", None),
+        ("knots", [[math.nan, 0.5]] + [[0.1 * i, 0.2] for i in range(1, 6)]),
+        ("knots", [[0.1, 0.2]] * 6),
+        ("knots", [[0.1, 0.2, 0.3]] + [[0.1 * i, 0.2] for i in range(1, 6)]),
+    ])
+    def test_unusable_kernel_model_is_rejected_on_load(self, rng, field, value):
+        with pytest.raises(BadSchema, match=f"'{field}'"):
+            model_from_json(self._stored(rng, **{field: value}))
+
+    @pytest.mark.parametrize("interpolator", ["lagrange", "spline"])
+    def test_unusable_1d_model_is_rejected_on_load(self, interpolator):
+        model_from_json(self._stored_1d(interpolator))
+        with pytest.raises(BadSchema, match="'gamma_hat'"):
+            model_from_json(self._stored_1d(interpolator, gamma_hat=None))
+        with pytest.raises(BadSchema, match="'gamma_hat'"):
+            model_from_json(self._stored_1d(interpolator, gamma_hat=[0.1, math.nan, 0.1, 0.1, 0.1]))
+        with pytest.raises(BadSchema, match="'knots'"):
+            model_from_json(self._stored_1d(interpolator, knots=[[0.1 * i, 0.5] for i in range(5)]))
+
 
 _XY_SPEC = default_gaussian(2)
 _XY_VP = VarianceParams(1.0, 0.5)

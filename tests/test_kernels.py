@@ -15,6 +15,7 @@ from reconstruct.kernels import (
     default_gaussian,
     gaussian_kernel,
     kernel_matrix,
+    kernel_matvec,
     kernel_value,
     matern_kernel,
     spec_from_json,
@@ -188,6 +189,112 @@ class TestBlockedKernelMatrix:
         P, Q = rng.random((k, 3)), rng.random((l, 3))
         spec = _spec(family, 3, rng)
         _assert_bitwise_equal(kernel_matrix(spec, P, Q), _kernel_matrix_broadcast(spec, P, Q))
+
+
+def _matvec(spec, P, Q, w, rows=None):
+    """kernel_matvec with row blocks of ``rows`` rows (None: the real size)."""
+    floats = kernels.CACHE_BLOCK_FLOATS if rows is None else rows * Q.shape[0]
+    with mock.patch.object(kernels, "CACHE_BLOCK_FLOATS", floats):
+        return kernel_matvec(spec, P, Q, w)
+
+
+def _gaussian_matvec_bound(spec, P, Q, w):
+    """The module docstring's bound on |kernel_matvec - kernel_matrix @ w|:
+    c eps sum_k |w_k| (1 + sum_l theta_l span_l^2), c = 2m + 8d + 32."""
+    m, d = Q.shape
+    both = np.vstack([P, Q])
+    span = both.max(axis=0) - both.min(axis=0)
+    c = 2 * m + 8 * d + 32
+    return c * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.sum(np.array(spec.theta) * span**2))
+
+
+class TestKernelMatvec:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        l=st.integers(1, 50),
+        d=st.integers(1, 8),
+        family=st.sampled_from(["gaussian", 0.5, 1.5, 2.5]),
+        rows=st.sampled_from([1, 7, None]),
+        where=st.sampled_from(["cube", "knots", "far"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_kernel_matrix_product(self, k, l, d, family, rows, where, seed):
+        rng = np.random.default_rng(seed)
+        P, Q = rng.random((k, d)), rng.random((l, d))
+        if where == "knots":
+            P = Q[rng.integers(0, l, size=k)]
+        elif where == "far":
+            P = P + rng.choice([-1.0, 1.0], size=(k, d)) * 10.0 ** rng.uniform(0.5, 3.0, (k, d))
+        spec = _spec(family, d, rng)
+        w = rng.standard_normal(l) * 10.0 ** rng.uniform(-3.0, 3.0)
+        got = _matvec(spec, P, Q, w, rows)
+        whole = kernel_matrix(spec, P, Q) @ w
+        assert np.all(np.isfinite(got))
+        if family == "gaussian":
+            assert np.max(np.abs(got - whole)) <= _gaussian_matvec_bound(spec, P, Q, w)
+            return
+        # Matern: kernel_matrix rows times w, block by block.  BLAS sums a
+        # row's product in an order that depends on where the row sits in
+        # the call, so only a single block is bitwise the whole product.
+        r = max(1, kernels.CACHE_BLOCK_FLOATS // l) if rows is None else rows
+        blocks = np.concatenate([kernel_matrix(spec, P[s : s + r], Q) @ w for s in range(0, k, r)])
+        _assert_bitwise_equal(got, blocks)
+        if r >= k:
+            _assert_bitwise_equal(got, whole)
+        assert np.max(np.abs(got - whole)) <= 2 * l * np.finfo(float).eps * np.sum(np.abs(w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 30),
+        l=st.integers(1, 40),
+        d=st.integers(1, 8),
+        rows=st.sampled_from([1, 7, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unit_vector_entries_never_exceed_one(self, k, l, d, rows, seed):
+        # query points on the knots give exponents of exactly zero in the
+        # difference form; the product form rounds them and clamps at 0
+        rng = np.random.default_rng(seed)
+        Q = rng.random((l, d)) * 10.0 ** rng.uniform(-3.0, 0.0)
+        P = np.vstack([Q, rng.random((k, d))])
+        spec = gaussian_kernel(10.0 ** rng.uniform(-2.0, 3.0, d))
+        for j in range(l):
+            col = _matvec(spec, P, Q, np.eye(l)[j], rows)
+            assert np.max(col) <= 1.0
+            assert col[j] >= 1.0 - _gaussian_matvec_bound(spec, P, Q, np.eye(l)[j])
+
+    @pytest.mark.parametrize("offset", [1e3, 1e200])
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_far_points_underflow_to_zero(self, rng, offset, rows):
+        # at 1e200 the squared norms overflow and the difference form takes over
+        Q = rng.random((30, 3))
+        P = np.vstack([Q[:2] + offset, Q[:2] - offset, rng.random((3, 3)) * offset])
+        spec = gaussian_kernel([1e-2, 1.0, 1e3])
+        got = _matvec(spec, P, Q, rng.standard_normal(30), rows)
+        assert np.all(got[:4] == 0.0) and np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("family", ["gaussian", 1.5])
+    @pytest.mark.parametrize("k, l", [(1, 2**15 + 3), (410, 80), (2000, 97), (700, 5000)])
+    def test_real_blocks(self, family, k, l):
+        # one row; more knots than a block holds; several blocks; 6-row blocks
+        rng = np.random.default_rng(k + l)
+        P, Q, w = rng.random((k, 8)), rng.random((l, 8)), rng.standard_normal(l)
+        spec = _spec(family, 8, rng)
+        got, whole = kernel_matvec(spec, P, Q, w), kernel_matrix(spec, P, Q) @ w
+        if family == "gaussian":
+            assert np.max(np.abs(got - whole)) <= _gaussian_matvec_bound(spec, P, Q, w)
+        else:
+            assert np.max(np.abs(got - whole)) <= 2 * l * np.finfo(float).eps * np.sum(np.abs(w))
+
+    def test_shape_checks(self):
+        spec = gaussian_kernel([1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            kernel_matvec(spec, np.zeros((3, 2)), np.zeros((4, 2)), np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            kernel_matvec(spec, np.zeros((3, 1)), np.zeros((4, 1)), np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            kernel_matvec(spec, np.zeros((0, 2)), np.zeros((4, 2)), np.ones(4))
 
 
 class TestFactoredCorrelation:
