@@ -233,6 +233,8 @@ class ExperimentConfig:
     theta: Optional[float] = DEFAULT_GAUSSIAN_RATE
     ackley_standard: bool = False
     trials: int = DEFAULT_SUBSET_TRIALS
+    # max_iter and tol of estimate_kernel_params (the names predate its
+    # joint search, and reports store them)
     bcd_max_iter: int = 10
     bcd_tol: float = 1e-3
     iterations: int = 15
@@ -364,11 +366,12 @@ def _map_indexed(fn, config, count, jobs):
 def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
     """One knot set of the subset-knot comparisons (Table 3, power plant).
 
-    BCD gprr, then Nystrom by GCV and the variance search plus SPGP on its
-    kernel rates (each if listed in ``methods``), every fit evaluated
-    against ``truth`` at ``Xtest``; without test points only BCD runs.  A
-    failure is recorded under its method, and a failed BCD stops the rest.
-    Returns the BCD fit (None when it failed) and the record of test errors
+    gprr with estimated kernel rates (:func:`estimate_kernel_params`), then
+    Nystrom by GCV and the variance search plus SPGP on those rates (each
+    if listed in ``methods``), every fit evaluated against ``truth`` at
+    ``Xtest``; without test points only the rate search runs.  A failure
+    is recorded under its method, and a failed rate search stops the rest.
+    Returns the rate fit (None when it failed) and the record of test errors
     ("mse"), failures ("failed"), rates ("theta") and SPGP's "variances".
     """
     rec = {"mse": {}, "failed": {}}

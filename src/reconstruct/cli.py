@@ -111,7 +111,9 @@ def _build_parser():
                      choices=["gprr", "krr", "gpr", "nystrom", "spgp", "eb"])
     fit.add_argument("--m", type=int, default=None, help="knot count (subset of the data)")
     fit.add_argument("--theta", type=float, default=None, help="Gaussian kernel rate (all coordinates)")
-    fit.add_argument("--estimate-theta", action="store_true")
+    fit.add_argument("--estimate-theta", action="store_true",
+                     help="choose the Gaussian rates by least squares on the knots "
+                          "(one per coordinate, in [1e-2, 1e3]) instead of --theta")
     fit.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
     fit.add_argument("--lambda", dest="lam", default="auto", help="gcv | auto | none | value")
     fit.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)

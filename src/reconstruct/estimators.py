@@ -5,8 +5,8 @@ interpolator that rebuilds the curve or surface.  Generic machinery:
 
 * ridge solution  gamma = (B'B + n*lam*Sigma)^{-1} B'y
 * GCV(lam) = ||y - H y||^2 / (n (1 - trace(H)/n)^2),  H the smoother
-* kernel-parameter estimation by block coordinate descent on the
-  unpenalized least-squares objective.
+* kernel-rate estimation by one joint L-BFGS-B search on the
+  variable-projection form of the unpenalized least-squares objective.
 
 Every lambda search runs through one GCV engine: a fit decomposes its
 smoother once (a :class:`~reconstruct.numerics.SmootherSpectrum`, or the
@@ -591,15 +591,19 @@ def fit_replication(design: ReplicationDesign, y, interpolator_kind: str) -> Fit
 
 
 # ---------------------------------------------------------------------------
-# kernel-parameter estimation by block coordinate descent
+# kernel-rate estimation: one search on the variable-projection objective
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelParamsFit:
-    """Estimated rates and knot values, with how the search ended:
-    ``converged`` is true when ``tol`` stopped the sweeps rather than
-    ``max_iter``, and ``evaluations`` counts the line-search evaluations."""
+    """Estimated rates and knot values, with how the search ended.
+
+    ``objective_trace`` holds f(theta0), then f at each accepted iterate,
+    and never increases; ``theta``, ``gamma_hat`` and ``model`` belong to
+    its last entry.  ``converged`` is false only when ``max_iter`` stopped
+    the search; ``evaluations`` counts objective-and-gradient evaluations.
+    """
 
     theta: np.ndarray
     gamma_hat: np.ndarray
@@ -609,127 +613,76 @@ class KernelParamsFit:
     evaluations: int = 0
 
 
-class _BcdState:
-    """Workspace for the least-squares kernel-parameter search.
+class _RateSearch:
+    """f(theta) = min_gamma ||y - B(theta) gamma||^2 / n and its gradient.
 
-    Per-coordinate squared-difference tensors and preallocated buffers:
-    one line-search evaluation is one pass over the n x m arrays, in row
-    blocks that stay in cache, and allocates nothing of that size.
+    B(theta) is the kriging basis on the knots, rows b(x)' = g(x)'U' +
+    r_A(x)'V.  The d squared-difference tensors are stacked, so a row
+    block's exponents are one matrix-vector product with theta; two n x m
+    buffers hold the correlations K and the basis B of the last gamma-step.
     """
 
-    def __init__(self, X, y, knots: KnotSet, g_kind: str, theta0: np.ndarray):
+    def __init__(self, X, y, knots: KnotSet, g_kind: str):
         self.y = y
         self.n, self.d = X.shape
         self.m = knots.m
         A = knots.points
-        self.DX = [(X[:, l, None] - A[None, :, l]) ** 2 for l in range(self.d)]
-        self.DA = [(A[:, l, None] - A[None, :, l]) ** 2 for l in range(self.d)]
-        self.GX = regression_matrix(g_kind, X)
-        self.GA = regression_matrix(g_kind, A)
-        self.theta = theta0.copy()
-        self.WX = sum(t * D for t, D in zip(self.theta, self.DX))
-        self.WA = sum(t * D for t, D in zip(self.theta, self.DA))
-        # WX without the searched coordinate's term; exp(-WX) and the basis
-        # rows of the gamma-step
-        self._baseX = np.empty_like(self.WX)
-        self._KX = np.empty_like(self.WX)
-        self._B = np.empty_like(self.WX)
-        self._rows = max(1, CACHE_BLOCK_FLOATS // self.m)
-        self._R, self._DR = np.empty((2, min(self._rows, self.n), self.m))
-        self.evaluations = 0
+        self.DX = np.empty((self.d, self.n, self.m))
+        self.DA = np.empty((self.d, self.m, self.m))
+        for l in range(self.d):
+            for P, D in ((X, self.DX), (A, self.DA)):
+                np.square(np.subtract(P[:, l, None], A[None, :, l], out=D[l]), out=D[l])
+        self.GX, self.GA = regression_matrix(g_kind, X), regression_matrix(g_kind, A)
+        self._K, self._B = np.empty((2, self.n, self.m))
+        rows = max(1, CACHE_BLOCK_FLOATS // self.m)
+        self._blocks = [(s, min(s + rows, self.n)) for s in range(0, self.n, rows)]
+        self._M = np.empty((min(rows, self.n), self.m))
+        self.theta = None
 
-    def begin_search(self, j):
-        """Split coordinate j's term off the exponents: the base arrays hold
-        the other coordinates' sum for :meth:`objective_and_slope`."""
-        np.multiply(self.DX[j], self.theta[j], out=self._baseX)
-        np.subtract(self.WX, self._baseX, out=self._baseX)
-        self._baseA = self.WA - self.theta[j] * self.DA[j]
-
-    def objective_and_slope(self, j, t, gamma):
-        """f and df/dt at theta_j = 10**t, with gamma and the other rates fixed.
-
-        The kriging coefficients solve [R_A G_A; G_A' 0][w; u] = [gamma; 0]
-        and dR/dtheta_j = -D_j o R, so (w', u') is one more GLS solve on the
-        same factor with right-hand side (D_A,j o R_A) w, and the residual
-        r = y - G_X u - R_XA w moves by r' = (D_X,j o R_XA) w - R_XA w' - G_X u'.
-        r and r' are accumulated row block by row block.
-        """
-        self.evaluations += 1
-        th = 10.0**t
-        DA = self.DA[j]
-        RA = np.multiply(DA, -th)
-        RA -= self._baseA
-        np.exp(RA, out=RA)
+    def gamma_step(self, theta):
+        """f(theta) and gamma_hat(theta) by one exact least-squares solve;
+        the arrays they come from stay for :meth:`gradient`."""
+        theta = np.array(theta, dtype=float)
+        RA = np.exp(-np.tensordot(theta, self.DA, 1))
         fac = spd_factor(RA)
-        u, w = fac.gls(self.GA, gamma)
-        du, dw = fac.gls(self.GA, (DA * RA) @ w)
-        res = self.y - self.GX @ u
-        dres = self.GX @ du
-        DX, rr, rdr = self.DX[j], 0.0, 0.0
-        for s in range(0, self.n, self._rows):
-            e = min(s + self._rows, self.n)
-            R, DR = self._R[: e - s], self._DR[: e - s]
-            np.multiply(DX[s:e], -th, out=R)
-            R -= self._baseX[s:e]
-            np.exp(R, out=R)
-            np.multiply(DX[s:e], R, out=DR)
-            r = res[s:e] - R @ w
-            dr = DR @ w
-            dr -= R @ dw
-            dr -= dres[s:e]
-            rr += r @ r
-            rdr += r @ dr
-        return rr / self.n, 2.0 * rdr / self.n * th * math.log(10.0)
-
-    def gamma_step(self):
-        # rows of B are the kriging basis b(x)' = g(x)'U' + r_A(x)'V
-        Ut, V = spd_factor(np.exp(-self.WA)).gls(self.GA, np.eye(self.m))
-        K, B = self._KX, self._B
-        np.negative(self.WX, out=K)
-        np.exp(K, out=K)
-        np.matmul(K, V, out=B)
-        B += np.matmul(self.GX, Ut, out=K)
+        Ut, V = fac.gls(self.GA, np.eye(self.m))
+        K, B = self._K, self._B
+        for s, e in self._blocks:
+            np.matmul(theta, self.DX[:, s:e].reshape(self.d, -1), out=K[s:e].reshape(-1))
+            np.exp(np.negative(K[s:e], out=K[s:e]), out=K[s:e])
+            np.matmul(K[s:e], V, out=B[s:e])
+            B[s:e] += self.GX[s:e] @ Ut
         try:
             facB = spd_factor(B.T @ B)
         except NotPositiveDefinite as exc:
             raise SingularSystem(str(exc)) from exc
         gamma = facB.solve(B.T @ self.y)
         r = self.y - B @ gamma
-        return gamma, float(r @ r) / self.n
+        self.theta, self.gamma, self.f = theta, gamma, float(r @ r) / self.n
+        self._fac, self._RA, self._r, self._w = fac, RA, r, V @ gamma
+        return self.f, gamma
 
-    def coordinate_search(self, j, gamma, current):
-        """L-BFGS-B on log10(theta_j) in [-2, 3] with the exact derivative,
-        from the current rate; keeps only improvements.
+    def gradient(self) -> np.ndarray:
+        """df/dlog10(theta_j), j = 1..d, at the last gamma-step.
 
-        Returns the objective and whether theta_j moved.
+        gamma_hat minimizes the residual, so the gradient of f is the slope
+        with gamma held fixed (Kaufman 1975).  With gamma fixed the kriging
+        coefficients solve [R_A G_A; G_A' 0][w; u] = [gamma; 0] and
+        dR/dtheta_j = -D_j o R, so (w_j', u_j') is one GLS solve on the same
+        factor with the d right-hand sides (D_A,j o R_A) w, and the residual
+        r = y - G_X u - K w moves by r_j' = (D_X,j o K) w - K w_j' - G_X u_j'.
+        The terms r'(D_X,j o K) w = <D_X,j, K o r w'> are accumulated row
+        block by row block.
         """
-        from scipy.optimize import minimize  # deferred: ~0.2 s, ~19 MiB to import
-
-        self.begin_search(j)
-        # f and f' scale with y**2 while the stopping tests of L-BFGS-B are
-        # absolute below 1: searching f / current makes them relative, so the
-        # search does not depend on the units of y
-        scale = current if current > 0.0 else 1.0
-
-        def f(t):
-            value, slope = self.objective_and_slope(j, t[0], gamma)
-            return value / scale, np.array([slope / scale])
-
-        res = minimize(
-            f,
-            [math.log10(min(max(self.theta[j], 1e-2), 1e3))],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-2.0, 3.0)],
-        )
-        value = float(res.fun) * scale
-        if value < current:
-            self.theta[j] = 10.0 ** res.x[0]
-            np.multiply(self.DX[j], self.theta[j], out=self.WX)
-            self.WX += self._baseX
-            self.WA = self._baseA + self.theta[j] * self.DA[j]
-            return value, True
-        return current, False
+        K, r, w = self._K, self._r, self._w
+        du, dw = self._fac.gls(self.GA, ((self.DA * self._RA) @ w).T)
+        rdr = np.zeros(self.d)
+        for s, e in self._blocks:
+            M = np.multiply(K[s:e], r[s:e, None], out=self._M[: e - s])
+            M *= w
+            rdr += self.DX[:, s:e].reshape(self.d, -1) @ M.reshape(-1)
+        rdr -= (K.T @ r) @ dw + (self.GX.T @ r) @ du
+        return 2.0 * rdr / self.n * self.theta * math.log(10.0)
 
 
 def estimate_kernel_params(
@@ -743,17 +696,19 @@ def estimate_kernel_params(
 ) -> KernelParamsFit:
     """Estimate per-coordinate Gaussian rates by least squares.
 
-    Block coordinate descent: each rate gets a bounded L-BFGS-B line search
-    (scipy's ``minimize``, default tolerances; Byrd, Lu, Nocedal & Zhu
-    1995) on its log10 value in [-2, 3], started from the current rate
-    (clipped into the bracket), with the knot values held fixed and the
-    exact derivative of the objective.  The search sees the objective
-    divided by its value at the start, so it does not depend on the units
-    of ``y``.  A rate on a bound whose derivative points out of the box
-    costs one evaluation.  The knot values are refreshed by an exact
-    unpenalized least-squares solve after every accepted move; a rate that
-    did not move leaves them as they are.  The objective trace is
-    non-increasing by construction.
+    The knot values enter linearly, so the rates minimize the
+    variable-projection objective f(theta) = min_gamma ||y - B(theta) gamma||^2
+    / n (Golub & Pereyra 1973).  One bounded L-BFGS-B search (scipy's
+    ``minimize``, default tolerances; Byrd, Lu, Nocedal & Zhu 1995) runs
+    over the log10 rates in [-2, 3]^d from theta0 clipped into the box, for
+    at most ``max_iter`` iterations; each evaluation is one exact
+    least-squares solve for gamma and the exact gradient in all d rates.
+    The search sees f divided by f(theta0), or by eps * mean(y**2) if that
+    is larger, so it does not depend on the units of ``y``.  It also stops
+    when an accepted iterate lowers f by less than ``tol`` times the
+    previous value.  An iterate is accepted when f there is at most the
+    trace's last entry, so a theta0 outside the box is returned unchanged
+    unless the search from its clipped start gets below f(theta0).
     """
     X, y = _as_xy(X, y)
     knots = as_knots(A)
@@ -764,30 +719,61 @@ def estimate_kernel_params(
         raise DimensionMismatch("theta0 must have one rate per coordinate")
     if not np.all(np.isfinite(theta0) & (theta0 > 0)):
         raise ValueError("theta0 must hold positive, finite rates")
-    state = _BcdState(X, y, knots, g_kind, theta0)
-    gamma, obj = state.gamma_step()
-    trace = [obj]
-    converged = False
-    for _ in range(max_iter):
-        current = trace[-1]
-        for j in range(state.d):
-            current, moved = state.coordinate_search(j, gamma, current)
-            # with theta unchanged the gamma-step would repeat the last one
-            if moved:
-                gamma_new, obj_new = state.gamma_step()
-                if obj_new <= current:
-                    gamma, current = gamma_new, obj_new
-        trace.append(current)
-        if trace[-2] - trace[-1] < tol * max(trace[-2], 1e-300):
-            converged = True
-            break
-    spec = KernelSpec(family="gaussian", theta=tuple(float(t) for t in state.theta))
+    from scipy.optimize import minimize  # deferred: ~0.2 s, ~19 MiB to import
+
+    search = _RateSearch(X, y, knots, g_kind)
+    f0, gamma = search.gamma_step(theta0)
+    # the trace, and the rates and knot values of its last entry
+    trace, kept = [f0], [theta0, gamma]
+    # the stopping tests of L-BFGS-B are absolute below 1; the floor keeps
+    # the rounding-level f of a start that already reproduces y from
+    # driving a search
+    scale = max(f0, np.finfo(float).eps * float(y @ y) / y.shape[0]) or 1.0
+    start = np.clip(theta0, 1e-2, 1e3)
+    x0 = np.log10(start)
+
+    def at(x):
+        # a coordinate still at its start keeps its exact rate, so the
+        # first evaluation repeats no gamma-step
+        theta = np.where(x == x0, start, 10.0**x)
+        if not np.array_equal(theta, search.theta):
+            search.gamma_step(theta)
+
+    def objective(x):
+        at(x)
+        return search.f / scale, search.gradient() / scale
+
+    def accept(x):
+        at(x)
+        if search.f <= trace[-1]:
+            trace.append(search.f)
+            kept[:] = search.theta, search.gamma
+            return True
+        return False
+
+    stopped = False
+
+    def callback(intermediate_result):
+        nonlocal stopped
+        if accept(intermediate_result.x) and trace[-2] - trace[-1] < tol * max(trace[-2], 1e-300):
+            stopped = True
+            raise StopIteration
+
+    if not np.array_equal(start, theta0):
+        accept(x0)
+    converged, evaluations = False, 0
+    if max_iter > 0:
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", callback=callback,
+                       bounds=[(-2.0, 3.0)] * search.d, options={"maxiter": max_iter})
+        converged, evaluations = stopped or res.status != 1, res.nfev
+    theta, gamma = kept
+    spec = KernelSpec(family="gaussian", theta=tuple(float(t) for t in theta))
     return KernelParamsFit(
-        theta=state.theta.copy(),
+        theta=theta.copy(),
         gamma_hat=gamma,
         objective_trace=[float(v) for v in trace],
         model=_basis_model(gp_basis_build(knots, spec, g_kind), gamma, 0.0,
                            iterations=len(trace) - 1),
         converged=converged,
-        evaluations=state.evaluations,
+        evaluations=evaluations,
     )

@@ -181,13 +181,15 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
         k = acc.shape[0]
         tb = bufs[0, :k]
         if c is None:
-            # acc = sum_j theta_j (p_j - q_j)^2, then exp(-acc)
+            # acc = sum_j theta_j (p_j - q_j)^2, then exp(-acc); a lag too
+            # large to square gives inf, and exp(-inf) the correct 0
             acc.fill(0.0)
-            for j in range(d):
-                np.subtract(Pb[:, j, None], QT[j], out=tb)
-                np.square(tb, out=tb)
-                np.multiply(spec.theta[j], tb, out=tb)
-                acc += tb
+            with np.errstate(over="ignore"):
+                for j in range(d):
+                    np.subtract(Pb[:, j, None], QT[j], out=tb)
+                    np.square(tb, out=tb)
+                    np.multiply(spec.theta[j], tb, out=tb)
+                    acc += tb
             np.negative(acc, out=acc)
             np.exp(acc, out=acc)
         else:

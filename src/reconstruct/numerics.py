@@ -74,9 +74,9 @@ class SpdFactorization:
             )
         q = G.shape[1]
         # BLAS trsm, not LAPACK trtrs: OpenBLAS threads trtrs even for a few
-        # right-hand sides, and with more busy threads than cores that made a
-        # BCD objective evaluation five times slower.  The factor is finite
-        # by construction; only [G | Y] needs the check.
+        # right-hand sides, and with more busy threads than cores that made
+        # an evaluation of the kernel-rate objective five times slower.  The
+        # factor is finite by construction; only [G | Y] needs the check.
         Z = dtrsm(1.0, self.factor, np.asarray_chkfinite(np.column_stack([G, Y])), lower=1)
         Gw, Yw = Z[:, :q], Z[:, q:]
         beta = np.zeros((q, Yw.shape[1]))

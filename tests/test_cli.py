@@ -8,7 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from reconstruct.cli import _read_xy, dispatch
 from reconstruct.designs import select_knots
-from reconstruct.estimators import _gcv_curve, _subset_spectrum, model_from_json, predict
+from reconstruct.estimators import (
+    _gcv_curve,
+    _subset_spectrum,
+    estimate_kernel_params,
+    model_from_json,
+    predict,
+)
 from reconstruct.interpolators import KnotSet
 from reconstruct.kernels import default_gaussian
 
@@ -231,6 +237,28 @@ class TestFitPredict:
             ]) == 0
             blob = json.loads(out.read_text())
             assert blob["method"] == method
+
+    def test_estimate_theta_round_trip(self, tmp_path, train_csv, capsys):
+        path, X, y = train_csv
+        knot_args = ["--m", "8", "--trials", "100", "--seed", "4"]
+        out = tmp_path / "gprr.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "gprr", *knot_args,
+                         "--estimate-theta", "--out", str(out)]) == 0
+        theta = json.loads(out.read_text())["kernel"]["theta"]
+        assert len(theta) == 2 and all(1e-2 <= t <= 1e3 for t in theta)
+        Xs = np.random.default_rng(8).random((30, 2))
+        pts, pred_csv = tmp_path / "pts.csv", tmp_path / "pred.csv"
+        pts.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in Xs.tolist()))
+        assert dispatch(["predict", "--model", str(out), "--data", str(pts),
+                         "--out", str(pred_csv)]) == 0
+        A = select_knots(X, 8, trials=100, seed=4).knots
+        expect = predict(estimate_kernel_params(X, y, A, "constant+linear").model, Xs)
+        _assert_bitwise(np.loadtxt(pred_csv, skiprows=1, ndmin=1), expect)
+        spgp = tmp_path / "spgp.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "spgp", *knot_args,
+                         "--estimate-theta", "--out", str(spgp)]) == 0
+        blob = json.loads(spgp.read_text())
+        assert blob["method"] == "spgp" and blob["kernel"]["theta"] == theta
 
     def test_predict_rejects_truncated_model(self, tmp_path, train_csv, capsys):
         path, X, _ = train_csv

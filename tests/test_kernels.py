@@ -264,6 +264,7 @@ class TestKernelMatvec:
             assert np.max(col) <= 1.0
             assert col[j] >= 1.0 - _gaussian_matvec_bound(spec, P, Q, np.eye(l)[j])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("offset", [1e3, 1e200])
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_far_points_underflow_to_zero(self, rng, offset, rows):
