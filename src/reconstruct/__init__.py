@@ -53,7 +53,6 @@ from .interpolators import (
 )
 from .kernels import (
     KernelSpec,
-    correlation_matrix_factored,
     default_gaussian,
     gaussian_kernel,
     kernel_matrix,
@@ -67,7 +66,6 @@ from .numerics import (
     banded_spd_solve,
     fdp_hat_trace,
     hat_trace,
-    spd_solve,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,8 @@ estimator that coincides with reconstruction regression.
 The low-rank paths (Nystrom, SPGP, quasi-posterior, variance search)
 all start from one whitened cross-kernel P = R_XA L_A^{-T} and work
 entirely with n x m and m x m arrays; no n x n matrix and no inverse of
-R_A is formed.  SPGP and the quasi-posterior share one m x m ridge solve.
+R_A is formed.  Nystrom's spectrum is the Demmler-Reinsch spectrum of the
+basis [G_X, P]; SPGP and the quasi-posterior share one m x m ridge solve.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .estimators import (
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
 from .kernels import KernelSpec, kernel_matrix
-from .numerics import SmootherSpectrum, spd_factor
+from .numerics import demmler_reinsch, spd_factor
 
 # Beyond this many training points the n-vector of fitted values is not
 # materialized for the full-coefficient Nystrom model (it would cost an
@@ -83,46 +84,6 @@ def _residual_diag(P):
     return np.clip(1.0 - np.einsum("ij,ij->i", P, P), 0.0, None)
 
 
-def _nystrom_spectrum(X, y, A, spec, g_kind):
-    """Spectrum of the low-rank GPR smoother and its coefficients.
-
-    The Gram matrix is replaced by P P' (see :func:`_whitened_cross`).  A
-    thin SVD U S W' of P with the trend columns projected out gives the
-    smoother's spectrum without any n x n array: d = S^2 on U, and the
-    other n - q - m directions orthogonal to the trend carry d = 0, so they
-    are pure residual at every lambda.
-
-    Returns the spectrum, ``coefficients(lam) -> (beta, alpha)`` with the
-    prediction g(x)'beta + r_X(x)'alpha, and the jitter put on R_A.
-    """
-    n = X.shape[0]
-    knots, facA, P = _whitened_cross(X, A, spec)
-    G = regression_matrix(g_kind, X)
-    q = G.shape[1]
-    Pp, yp = P, y
-    if q:
-        Q1, Rg = np.linalg.qr(G)
-        Pp = P - Q1 @ (Q1.T @ P)
-        yp = y - Q1 @ (Q1.T @ y)
-    U, sv, _ = np.linalg.svd(Pp, full_matrices=False)
-    d = sv**2
-    z = U.T @ yp
-    rest = yp - U @ z
-
-    def coefficients(lam):
-        nl = n * lam
-        if nl <= 0.0:
-            raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")
-        alpha = U @ (z / (d + nl)) + rest / nl
-        if not q:
-            return np.zeros(0), alpha
-        # G beta = y - K alpha with K = P P' + n*lam*I
-        return solve_triangular(Rg, Q1.T @ (y - P @ (P.T @ alpha) - nl * alpha)), alpha
-
-    spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(rest @ rest), k0=n - q - knots.m)
-    return spectrum, coefficients, facA.jitter_applied
-
-
 def fit_nystrom(
     X,
     y,
@@ -132,15 +93,31 @@ def fit_nystrom(
     lambda_policy="gcv",
     grid=None,
 ) -> FittedModel:
-    """Low-rank GPR: the Gram matrix is replaced by its m-rank surrogate
-    R_XA R_A^{-1} R_XA', decomposed once in O(m^2 n), and prediction keeps
-    the exact cross-kernel values.
+    """Low-rank GPR (Williams & Seeger 2001): lambda is tuned by GCV on the
+    smoother whose Gram matrix is the m-rank surrogate P P' = R_XA R_A^{-1}
+    R_XA' (see :func:`_whitened_cross`), and prediction keeps the exact
+    cross-kernel values, g(x)'beta + r_X(x)'alpha.
+
+    By Henderson's mixed-model identity that smoother is the ridge fit
+    min ||y - G beta - P v||^2 + n*lam*||v||^2 with the trend unpenalized,
+    so its spectrum is the Demmler-Reinsch spectrum of B = [G_X, P] with
+    Sigma = diag(0_q, I_m), in O(m^2 n); at lambda, c = (beta, v) and
+    alpha = (y - B c) / (n*lam).  The jitter reported is the larger of
+    R_A's and B'B's.
     """
     X, y = _as_xy(X, y)
     n = X.shape[0]
-    spectrum, coefficients, jitter = _nystrom_spectrum(X, y, A, spec, g_kind)
+    _, facA, P = _whitened_cross(X, A, spec)
+    G = regression_matrix(g_kind, X)
+    q = G.shape[1]
+    B = np.hstack([G, P])
+    Sigma = np.diag(np.r_[np.zeros(q), np.ones(P.shape[1])])
+    spectrum, coefficients, jitter = demmler_reinsch(B, Sigma, y)
     lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, spectrum.rss_and_dof)
-    beta, alpha = coefficients(lam)
+    if n * lam <= 0.0:
+        raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")
+    c = coefficients(lam)
+    beta, alpha = c[:q], (y - B @ c) / (n * lam)
     model = FittedModel(
         interpolator="gp",
         knots=KnotSet(X),
@@ -151,7 +128,7 @@ def fit_nystrom(
         beta=beta,
         w=alpha,
         method="nystrom",
-        diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
+        diagnostics=FitDiagnostics(gcv=gval, jitter=max(jitter, facA.jitter_applied)),
     )
     if n <= _GAMMA_MATERIALIZE_LIMIT:
         model = replace(model, gamma_hat=predict(model, X))

@@ -40,7 +40,7 @@ from .estimators import (
     model_to_json,
     predict,
 )
-from .interpolators import KnotSet, regression_matrix
+from .interpolators import regression_matrix
 from .kernels import default_gaussian, gaussian_kernel, kernel_matrix
 from .tables import read_table
 
@@ -213,9 +213,10 @@ def _cmd_fit(args):
     if args.method == "gprr":
         if args.estimate_theta:
             if A is None:
-                A = KnotSet(X)
-            kp = estimate_kernel_params(X, y, A, args.g)
-            model = kp.model
+                # with every point a knot the unpenalized fit interpolates y,
+                # so the rate search would have nothing to fit
+                raise _UsageError("--m is required for --estimate-theta")
+            model = estimate_kernel_params(X, y, A, args.g).model
         else:
             model = fit_gprr(X, y, A, spec, args.g, lam)
     elif args.method == "krr":

@@ -38,7 +38,9 @@ class KnotSet:
             raise DimensionMismatch("knots must form a nonempty (m, d) array")
         if not (np.min(pts) >= -1e-9 and np.max(pts) <= 1.0 + 1e-9):  # NaN fails too
             raise ValueError("knot coordinates must lie in [0, 1]")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # repeated rows are adjacent once the rows are sorted lexicographically
+        srt = pts[np.lexsort(pts.T)]
+        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
             raise DuplicateKnots("knot rows must be pairwise distinct")
         object.__setattr__(self, "points", pts)
 

@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedNu
-from .numerics import SpdFactorization, spd_factor
 
 DEFAULT_GAUSSIAN_RATE = 12.5
 
 _SUPPORTED_NU = (0.5, 1.5, 2.5)
+_MATERN_Z_MAX = 1e3
 
 #: Entries per row block of the n x m passes (256 KiB of floats): a block
 #: and its temporaries stay in cache however large the whole matrix is.
@@ -112,9 +112,12 @@ def _matern_1d(z: np.ndarray, nu: float, out=None, tmp=None) -> np.ndarray:
         np.negative(z, out=out)
         return np.exp(out, out=out)
     tmp = np.empty_like(z) if tmp is None else tmp
-    np.add(1.0, z, out=out)
+    # exp(-z) is 0 from z of about 745 on; clamping the polynomial's z there
+    # keeps it finite at any lag, so the product is 0 and not inf * 0
+    np.minimum(z, _MATERN_Z_MAX, out=tmp)
+    np.add(1.0, tmp, out=out)
     if nu == 2.5:
-        np.square(z, out=tmp)
+        np.square(tmp, out=tmp)
         tmp /= 3.0
         out += tmp
     np.negative(z, out=tmp)
@@ -180,25 +183,26 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
         Pb, acc = P[s : s + rows], out[s : s + rows]
         k = acc.shape[0]
         tb = bufs[0, :k]
-        if c is None:
-            # acc = sum_j theta_j (p_j - q_j)^2, then exp(-acc); a lag too
-            # large to square gives inf, and exp(-inf) the correct 0
-            acc.fill(0.0)
-            with np.errstate(over="ignore"):
+        # a lag too large to form or to square gives inf, and the kernel
+        # value there is the correct 0: exp(-inf), or _matern_1d's clamp
+        with np.errstate(over="ignore"):
+            if c is None:
+                # acc = sum_j theta_j (p_j - q_j)^2, then exp(-acc)
+                acc.fill(0.0)
                 for j in range(d):
                     np.subtract(Pb[:, j, None], QT[j], out=tb)
                     np.square(tb, out=tb)
                     np.multiply(spec.theta[j], tb, out=tb)
                     acc += tb
-            np.negative(acc, out=acc)
-            np.exp(acc, out=acc)
-        else:
-            acc.fill(1.0)
-            for j in range(d):
-                np.subtract(Pb[:, j, None], QT[j], out=tb)
-                np.abs(tb, out=tb)
-                np.multiply(c, tb, out=tb)
-                acc *= _matern_1d(tb, spec.nu, out=bufs[1, :k], tmp=bufs[2, :k])
+                np.negative(acc, out=acc)
+                np.exp(acc, out=acc)
+            else:
+                acc.fill(1.0)
+                for j in range(d):
+                    np.subtract(Pb[:, j, None], QT[j], out=tb)
+                    np.abs(tb, out=tb)
+                    np.multiply(c, tb, out=tb)
+                    acc *= _matern_1d(tb, spec.nu, out=bufs[1, :k], tmp=bufs[2, :k])
     return out
 
 
@@ -251,13 +255,6 @@ def kernel_matvec(spec: KernelSpec, P, Q, w) -> np.ndarray:
     for s in range(0, k, rows):
         out[s : s + rows] = kernel_matrix(spec, P[s : s + rows], Q) @ w
     return out
-
-
-def correlation_matrix_factored(spec: KernelSpec, A) -> SpdFactorization:
-    """Factorization of the knot correlation matrix, jitter ladder applied."""
-    points = getattr(A, "points", A)
-    R = kernel_matrix(spec, points, points)
-    return spd_factor(R)
 
 
 def spec_to_json(spec: KernelSpec) -> dict:

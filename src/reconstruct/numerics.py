@@ -117,23 +117,6 @@ def spd_factor(A: np.ndarray) -> SpdFactorization:
     )
 
 
-def spd_solve(A: np.ndarray, rhs: np.ndarray, return_jitter: bool = False):
-    """Solve (A + jitter*I) X = rhs for symmetric positive definite A."""
-    A = np.asarray(A, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
-    if rhs.shape[0] != A.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has {rhs.shape[0]} rows but matrix is {A.shape[0]}x{A.shape[1]}"
-        )
-    fac = spd_factor(A)
-    X = fac.solve(rhs)
-    if return_jitter:
-        return X, fac.jitter_applied
-    return X
-
-
 @dataclass(frozen=True)
 class BandedSpdMatrix:
     """Symmetric banded matrix in upper-banded storage.

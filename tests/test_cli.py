@@ -260,6 +260,15 @@ class TestFitPredict:
         blob = json.loads(spgp.read_text())
         assert blob["method"] == "spgp" and blob["kernel"]["theta"] == theta
 
+    def test_estimate_theta_needs_knots(self, tmp_path, train_csv, capsys):
+        # with every point a knot there are no rates to estimate
+        path, _, _ = train_csv
+        out = tmp_path / "gprr.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "gprr",
+                         "--estimate-theta", "--out", str(out)]) == 1
+        assert "--m is required" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_rejects_truncated_model(self, tmp_path, train_csv, capsys):
         path, X, _ = train_csv
         out = tmp_path / "model.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from reconstruct.baselines import (
     VarianceParams,
-    _nystrom_spectrum,
+    _whitened_cross,
     estimate_variances,
     fit_empirical_bayes,
     fit_gpr,
@@ -997,9 +997,11 @@ def _nystrom_curves(rng, n):
     RXA = kernel_matrix(spec, X, A)
     Rlow = RXA @ np.linalg.solve(kernel_matrix(spec, A, A), RXA.T)
     G = regression_matrix("constant+linear", X)
-    spectrum, _, _ = _nystrom_spectrum(X, y, A, spec, "constant+linear")
-    curve = _gcv_curve(n, *spectrum.rss_and_dof(_GCV_GRID))
-    return curve, [_brute_gcv(_kriging_hat(Rlow, G, lam), y) for lam in _GCV_GRID]
+    # fit_nystrom's route: the Demmler-Reinsch spectrum of [G, P], trend unpenalized
+    _, _, P = _whitened_cross(X, A, spec)
+    Sigma = np.diag(np.r_[np.zeros(G.shape[1]), np.ones(P.shape[1])])
+    brute = [_brute_gcv(_kriging_hat(Rlow, G, lam), y) for lam in _GCV_GRID]
+    return gcv(np.hstack([G, P]), y, _GCV_GRID, Sigma), brute
 
 
 def _fdp_curves(rng, n):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicSpline
 
 from reconstruct.designs import chebyshev_knots, equispaced_knots
@@ -46,6 +48,17 @@ class TestKnotSet:
     def test_shape(self):
         ks = KnotSet(np.array([[0.1], [0.9]]))
         assert (ks.m, ks.d) == (2, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pts=hnp.arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                          elements=st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])))
+    def test_duplicate_check_matches_unique(self, pts):
+        # grid values make repeated rows common; -0.0 and 0.0 are one point
+        if np.unique(pts, axis=0).shape[0] == pts.shape[0]:
+            assert KnotSet(pts).m == pts.shape[0]
+        else:
+            with pytest.raises(DuplicateKnots):
+                KnotSet(pts)
 
 
 class TestLagrange:

@@ -11,7 +11,6 @@ from reconstruct import kernels
 from reconstruct.errors import DimensionMismatch, UnsupportedNu
 from reconstruct.kernels import (
     KernelSpec,
-    correlation_matrix_factored,
     default_gaussian,
     gaussian_kernel,
     kernel_matrix,
@@ -21,6 +20,7 @@ from reconstruct.kernels import (
     spec_from_json,
     spec_to_json,
 )
+from reconstruct.numerics import spd_factor
 
 from conftest import separated_points
 
@@ -128,6 +128,20 @@ class TestKernelMatrix:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             kernel_matrix(gaussian_kernel([1.0]), np.zeros((0, 1)), [[0.1]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_matern_far_lags_are_zero(self, nu):
+        # lags too large to scale or to square give the correct 0, not NaN,
+        # and leave the finite entries as they are
+        spec = matern_kernel(nu, 0.5)
+        P = np.array([[1e200, 0.0], [1e308, 0.5], [-1e308, 0.2], [0.3, 0.4]])
+        Q = np.array([[0.0, 0.0], [1e308, 0.5]])
+        expect = np.zeros((4, 2))
+        expect[1, 1] = 1.0
+        expect[3, 0] = kernel_matrix(spec, P[3:], Q[:1])[0, 0]
+        np.testing.assert_array_equal(kernel_matrix(spec, P, Q), expect)
+        np.testing.assert_array_equal(kernel_matvec(spec, P, Q, [1.0, 0.0]), expect[:, 0])
 
 
 def _kernel_matrix_broadcast(spec, P, Q):
@@ -300,11 +314,12 @@ class TestKernelMatvec:
 
 class TestFactoredCorrelation:
     def test_single_knot(self):
-        fac = correlation_matrix_factored(gaussian_kernel([2.0]), [[0.5]])
+        fac = spd_factor(kernel_matrix(gaussian_kernel([2.0]), [[0.5]], [[0.5]]))
         np.testing.assert_allclose(fac.factor, [[1.0]], atol=1e-14)
 
     def test_two_knots_hand_value(self):
-        fac = correlation_matrix_factored(gaussian_kernel([1.0]), [[0.0], [1.0]])
+        pts = [[0.0], [1.0]]
+        fac = spd_factor(kernel_matrix(gaussian_kernel([1.0]), pts, pts))
         R = fac.factor @ fac.factor.T
         np.testing.assert_allclose(
             R, [[1.0, math.exp(-1)], [math.exp(-1), 1.0]], atol=1e-12
@@ -312,7 +327,7 @@ class TestFactoredCorrelation:
 
     def test_clustered_knots_need_jitter(self, rng):
         pts = (0.5 + 1e-4 * rng.random((40, 1))).clip(0, 1)
-        fac = correlation_matrix_factored(default_gaussian(1), pts)
+        fac = spd_factor(kernel_matrix(default_gaussian(1), pts, pts))
         assert fac.jitter_applied > 0.0
 
 

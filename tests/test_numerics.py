@@ -15,7 +15,6 @@ from reconstruct.numerics import (
     hat_trace,
     second_difference_gram,
     spd_factor,
-    spd_solve,
 )
 
 from conftest import fdp_trace_reference, random_spd
@@ -30,18 +29,18 @@ def second_difference_dense(n):
 
 class TestSpdSolve:
     def test_hand_elimination(self):
-        x = spd_solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
+        x = spd_factor(np.array([[2.0, 1.0], [1.0, 2.0]])).solve(np.array([3.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_identity(self, rng):
         y = rng.normal(size=7)
-        np.testing.assert_allclose(spd_solve(np.eye(7), y), y, atol=1e-14)
+        np.testing.assert_allclose(spd_factor(np.eye(7)).solve(y), y, atol=1e-14)
 
     def test_inverse_column(self, rng):
         A = random_spd(rng, 8)
         e1 = np.zeros(8)
         e1[0] = 1.0
-        x = spd_solve(A, e1)
+        x = spd_factor(A).solve(e1)
         assert np.linalg.norm(A @ x - e1) / np.linalg.norm(e1) < 1e-10
         np.testing.assert_allclose(x, np.linalg.inv(A)[:, 0], rtol=1e-8)
 
@@ -49,24 +48,25 @@ class TestSpdSolve:
     def test_multiply_back(self, rng, n):
         A = random_spd(rng, n)
         rhs = rng.normal(size=(n, 2))
-        X = spd_solve(A, rhs)
+        X = spd_factor(A).solve(rhs)
         assert np.linalg.norm(A @ X - rhs) / np.linalg.norm(rhs) < 1e-8
 
     def test_jitter_reported(self):
         # an exactly singular PSD matrix needs a nugget to factor
         A = np.ones((6, 6))
-        x, jitter = spd_solve(A, np.ones(6), return_jitter=True)
-        assert jitter > 0.0
+        fac = spd_factor(A)
+        assert np.all(np.isfinite(fac.solve(np.ones(6))))
+        assert fac.jitter_applied > 0.0
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+            spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            spd_solve(np.eye(3), np.ones(4))
+            spd_factor(np.eye(3)).solve(np.ones(4))
         with pytest.raises(DimensionMismatch):
-            spd_solve(np.ones((2, 3)), np.ones(2))
+            spd_factor(np.ones((2, 3)))
 
     def test_factor_reproduces_input(self, rng):
         A = random_spd(rng, 12)
@@ -125,7 +125,7 @@ class TestBandedSolve:
         M = second_difference_dense(n)
         dense = np.eye(n) + n * lam * M.T @ M
         banded = banded_spd_solve(fdp_system(n, lam), y)
-        ref = spd_solve(dense, y)
+        ref = spd_factor(dense).solve(y)
         assert np.max(np.abs(banded - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 30])
