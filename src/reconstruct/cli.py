@@ -113,7 +113,8 @@ def _build_parser():
     fit.add_argument("--theta", type=float, default=None, help="Gaussian kernel rate (all coordinates)")
     fit.add_argument("--estimate-theta", action="store_true",
                      help="choose the Gaussian rates by least squares on the knots "
-                          "(one per coordinate, in [1e-2, 1e3]) instead of --theta")
+                          "(one per coordinate, in [1e-2, 1e3]) instead of --theta; "
+                          "needs --m, and not for krr or gpr")
     fit.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
     fit.add_argument("--lambda", dest="lam", default="auto", help="gcv | auto | none | value")
     fit.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
@@ -200,6 +201,9 @@ def _build_parser():
 
 
 def _cmd_fit(args):
+    if args.estimate_theta and args.method in ("krr", "gpr"):
+        # the rate search fits on knots, and these methods have none
+        raise _UsageError(f"--estimate-theta does not apply to method {args.method}")
     X, y = _read_xy(args.data)
     n, d = X.shape
     lam = _parse_lambda(args.lam)

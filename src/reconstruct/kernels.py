@@ -134,8 +134,11 @@ def kernel_value(spec: KernelSpec, h) -> float:
             raise DimensionMismatch(
                 f"lag has {h.shape[0]} coordinates, kernel expects {len(spec.theta)}"
             )
-        return float(np.exp(-np.sum(np.asarray(spec.theta) * h**2)))
-    z = 2.0 * math.sqrt(spec.nu) * np.abs(h) / spec.phi
+        # a lag too large to square gives exp(-inf) = 0, as in kernel_matrix
+        with np.errstate(over="ignore"):
+            return float(np.exp(-np.sum(np.asarray(spec.theta) * h**2)))
+    with np.errstate(over="ignore"):
+        z = 2.0 * math.sqrt(spec.nu) * np.abs(h) / spec.phi
     return float(np.prod(_matern_1d(z, spec.nu)))
 
 

@@ -11,9 +11,12 @@ factor, so no inverse of a correlation matrix or of a GLS system is formed.
 
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
 from which its residual and trace at every lambda of a grid follow in
-O(len(d)) each.  The pentadiagonal finite-difference smoother gets its
-exact trace in O(n) per lambda: a banded Cholesky factor, then one LAPACK
-back-substitution for the band of the inverse.
+O(len(d)) each.  The pentadiagonal finite-difference smoother is
+diagonalized the same way, up to one rank-1 term per parity, by the
+discrete cosine transform: one DCT of y (from one real FFT; ``scipy.fft``
+is not imported), then its exact residual and trace in O(n) per lambda
+with no factorization, accurate to about 1e-15 relative while
+n*lam * eps < 1 and NaN beyond.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from scipy.linalg import (
     solve_triangular,
 )
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
 
@@ -140,31 +142,25 @@ class BandedSpdMatrix:
         return A
 
 
-def second_difference_gram(n: int) -> BandedSpdMatrix:
-    """Gram matrix M'M of the (n-2) x n second-difference operator M."""
+def fdp_system(n: int, lam: float) -> BandedSpdMatrix:
+    """The pentadiagonal system n*lam*M'M + I on an n-point grid, M the
+    (n-2) x n second-difference operator.
+
+    Each band of M'M is constant away from the two ends, so each row of the
+    band storage is one fill and a few end entries.
+    """
     if n < 3:
         raise DimensionMismatch("second differences need at least 3 points")
-    ab = np.zeros((3, n))
-    d = np.full(n, 6.0)
-    d[0] = d[-1] = 1.0
-    if n >= 2:
-        d[1] = d[-2] = 5.0
-    if n == 3:
-        d[1] = 4.0
-    o1 = np.full(n - 1, -4.0)
-    o1[0] = o1[-1] = -2.0
-    o2 = np.full(n - 2, 1.0)
-    ab[2, :] = d
-    ab[1, 1:] = o1
-    ab[0, 2:] = o2
-    return BandedSpdMatrix(dimension=n, bandwidth=2, ab=ab)
-
-
-def fdp_system(n: int, lam: float) -> BandedSpdMatrix:
-    """The pentadiagonal system n*lam*M'M + I on an n-point grid."""
-    gram = second_difference_gram(n)
-    ab = n * lam * gram.ab
-    ab[2, :] += 1.0
+    sig = n * lam
+    ab = np.empty((3, n))
+    ab[0].fill(sig)
+    ab[1].fill(-4.0 * sig)
+    ab[2].fill(6.0 * sig + 1.0)
+    # the corner of the band storage outside the matrix
+    ab[0, :2] = ab[1, 0] = 0.0 * sig
+    ab[1, 1] = ab[1, -1] = -2.0 * sig
+    ab[2, 0] = ab[2, -1] = sig + 1.0
+    ab[2, 1] = ab[2, -2] = (4.0 if n == 3 else 5.0) * sig + 1.0
     return BandedSpdMatrix(dimension=n, bandwidth=2, ab=ab)
 
 
@@ -279,50 +275,83 @@ def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
     return tr if np.ndim(lam) else float(tr[0])
 
 
+def _dct(y):
+    """Orthonormal DCT-II of a vector from one real FFT (Makhoul 1980): the
+    FFT of y's even-index entries followed by its odd-index entries
+    reversed, turned by exp(-i pi k / 2n)."""
+    n = y.shape[0]
+    V = np.fft.rfft(np.concatenate([y[0::2], y[-1 - n % 2 :: -2]]))
+    W = V * np.exp(-0.5j * np.pi / n * np.arange(V.shape[0]))
+    m = (n - 1) // 2
+    out = np.empty(n)
+    out[: V.shape[0]] = W.real
+    out[n - m :] = -W.imag[m:0:-1]
+    out *= np.sqrt(2.0 / n)
+    out[0] *= np.sqrt(0.5)
+    return out
+
+
 def fdp_residual_and_trace(y, lam):
     """||y - A^{-1} y||^2 and trace(A^{-1}) for A = n*lam*M'M + I, each an
     array over ``lam``.
 
-    Exact for every n (Hutchinson & de Hoog 1985).  One banded Cholesky
-    factor A = L D L' per lambda gives the residual and the multipliers
-    p_i = L[i+1, i], q_i = L[i+2, i] of the Takahashi recurrence for the
-    band of Z = A^{-1}.  With a_i, b_i, c_i = Z[i, i], Z[i, i+1], Z[i, i+2]
-    the recurrence is the unit upper-triangular system
+    Exact for every n (Hutchinson & de Hoog 1985), from one DCT of y and no
+    factorization.  With D the first-difference operator, M'M = L^2 - UU'
+    where L = D'D is the Neumann Laplacian and U = [e_1 - e_0, e_{n-1} -
+    e_{n-2}].  The orthonormal DCT-II C diagonalizes L, with eigenvalues
+    l_k = 4 sin^2(pi k / 2n) (Garcia 2010).  Mirror symmetry makes the even
+    modes (symmetric vectors) and the odd modes (antisymmetric ones)
+    invariant, and UU' is one rank-1 term g g' on each, with
+    g_k^2 / l_k^2 = (4/n) cos^2(pi k / 2n).  So on each parity
+    C A C' = diag(d) - s g g', s = n*lam, d = 1 + s l^2, and
+    Sherman-Morrison gives trace and residual from sums over n-vectors,
+    with the capacitance s (1/s - g' diag(1/d) g) = E + sum_k w_k / d_k,
+    w = g^2 / l^2, a sum of positive terms: E = 0 on the odd modes, where
+    sum w = 1 and the linear null vector of M lives, and E = 2/n on the
+    even modes k >= 2.  Mode 0, the constant, is an eigenvector of A with
+    eigenvalue 1.
 
-        a_i + p_i b_i + q_i c_i = 1/D_i,
-        b_i + p_i a_{i+1} + q_i b_{i+1} = 0,
-        c_i + p_i b_{i+1} + q_i a_{i+2} = 0
-
-    in the 3n unknowns (a_i, b_i, c_i) point by point, of bandwidth 4, so
-    one LAPACK back-substitution per lambda gives the diagonal of A^{-1}.
-    A lambda whose factor fails gets NaN for both, which GCV scores as +inf.
+    Residual and trace agree with a 40-digit LDL' and Takahashi reference
+    to a few eps relative wherever measured (n from 3 to 12000, n*lam up
+    to 3.6e15).  From ``n*lam * eps >= 1`` on, the unit diagonal is below
+    the rounding of the n*lam*M'M entries, and such a lambda (or one that
+    is negative or not finite) gives NaN for both, which GCV scores as
+    +inf.  Lambdas are taken one at a time, so each entry of a grid equals
+    a call with that lambda alone.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.shape[0]
+    if n < 3:
+        raise DimensionMismatch("second differences need at least 3 points")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     rss, tr = np.full(lams.shape[0], np.nan), np.full(lams.shape[0], np.nan)
-    # the system in upper band storage, its (r, c) entry at ab[4 + r - c, c];
-    # Fortran order, as dtbtrs reads it, so no call copies it
-    ab = np.zeros((5, 3 * n), order="F")
-    ab[4] = 1.0
+    theta = 0.5 * np.pi / n * np.arange(n)
+    sin = np.sin(theta)
+    l2 = (4.0 * sin * sin) ** 2
+    w = 4.0 / n * np.cos(theta) ** 2
+    g = 4.0 / np.sqrt(n) * np.sin(2.0 * theta) * sin
+    yc = _dct(y)
+    # (l^2, w, g, Cy, l^2 Cy, E) on the even modes k >= 2, then the odd ones
+    parities = [
+        (l2[p], w[p], g[p], yc[p], l2[p] * yc[p], e)
+        for p, e in ((slice(2, None, 2), 2.0 / n), (slice(1, None, 2), 0.0))
+    ]
     for j, lam_j in enumerate(lams):
-        try:
-            U = _banded_factor(fdp_system(n, lam_j))
-        except NotPositiveDefinite:
-            # n*lam beyond about 1e16: no residual or trace at this lambda
+        s = n * lam_j
+        if not (0.0 <= s and s * _EPS < 1.0):
             continue
-        r = y - cho_solve_banded((U, False), y)
-        rss[j] = r @ r
-        p = U[1, 1:] / U[2, :-1]
-        q = U[0, 2:] / U[2, :-2]
-        # p_i at (3i, 3i+1), (3i+1, 3i+3), (3i+2, 3i+4);
-        # q_i at (3i, 3i+2), (3i+1, 3i+4), (3i+2, 3i+6)
-        ab[3, 1:-3:3] = ab[2, 3::3] = ab[2, 4::3] = p
-        ab[2, 2:-6:3] = ab[1, 4:-3:3] = ab[0, 6::3] = q
-        rhs = np.zeros(3 * n)
-        rhs[0::3] = 1.0 / U[2] ** 2
-        x, _ = dtbtrs(ab, rhs, overwrite_b=1, diag="U")
-        tr[j] = x[0::3].sum()
+        rss_j, tr_j = 0.0, 1.0
+        for l2p, wp, gp, yp, l2y, e in parities:
+            q = 1.0 / (1.0 + s * l2p)
+            gq = gp * q
+            cap = e + wp @ q
+            # diag(q) plus the Sherman-Morrison term s (g q)(g q)' / cap
+            tr_j += q.sum() + s * (gq @ gq) / cap
+            # C(y - A^{-1} y) = s (q l^2 Cy - g q (g q)'Cy / cap), formed
+            # without subtracting A^{-1} y from y
+            r = q * l2y - gq * ((gq @ yp) / cap)
+            rss_j += s * s * (r @ r)
+        rss[j], tr[j] = rss_j, tr_j
     return rss, tr
 
 

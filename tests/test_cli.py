@@ -269,6 +269,16 @@ class TestFitPredict:
         assert "--m is required" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["krr", "gpr"])
+    def test_estimate_theta_rejected_without_knots(self, tmp_path, train_csv, capsys, method):
+        # krr and gpr fit at fixed rates; the flag must not be dropped silently
+        path, _, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", method,
+                         "--estimate-theta", "--out", str(out)]) == 1
+        assert "--estimate-theta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_rejects_truncated_model(self, tmp_path, train_csv, capsys):
         path, X, _ = train_csv
         out = tmp_path / "model.json"

@@ -336,6 +336,22 @@ class TestFdp:
         assert np.isfinite(rss[0]) and np.isfinite(tr[0])
         assert np.isnan(rss[1]) and np.isnan(tr[1])
 
+    def test_pick_the_banded_factor_cannot_solve_is_skipped(self):
+        # on a noisy line GCV falls toward lambda = inf; the trace is finite
+        # up to n*lam*eps = 1, and close to that the banded factor of the
+        # final solve can fail (here at the last grid point)
+        n = 3000
+        x = np.linspace(0, 1, n)
+        y = x + 0.01 * np.random.default_rng(0).normal(size=n)
+        grid = np.logspace(-8, np.log10(0.99 / np.finfo(float).eps / n), 40)
+        curve = fdp_gcv(y, grid)
+        assert np.all(np.isfinite(curve))
+        fit = fit_fdp(y, "gcv", grid)
+        assert fit.lam in grid
+        assert fit.diagnostics.gcv == curve[grid == fit.lam][0]
+        gamma = numerics.banded_spd_solve(numerics.fdp_system(n, fit.lam), y)
+        np.testing.assert_array_equal(fit.gamma_hat, gamma)
+
 
 class TestReplicationFit:
     def test_means(self):

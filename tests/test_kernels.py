@@ -83,6 +83,17 @@ class TestKernelValue:
             )
             assert kernel_value(spec, h) == pytest.approx(prod, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec",
+        [gaussian_kernel([12.5, 0.5]), matern_kernel(0.5, 0.5), matern_kernel(1.5, 0.5),
+         matern_kernel(2.5, 0.5)],
+    )
+    def test_far_lags_are_zero(self, spec):
+        # lags too large to square or to scale give exactly 0, with no warning
+        for h in ([1e308, 0.0], [-1e308, 0.3], [1e200, 1e300]):
+            assert kernel_value(spec, h) == 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kernel_value(gaussian_kernel([1.0, 1.0]), [0.1])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from reconstruct.numerics import (
     fdp_hat_trace,
     fdp_system,
     hat_trace,
-    second_difference_gram,
     spd_factor,
 )
 
@@ -131,8 +131,7 @@ class TestBandedSolve:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 30])
     def test_gram_assembly(self, n):
         M = second_difference_dense(n)
-        np.testing.assert_allclose(second_difference_gram(n).dense(), M.T @ M,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(fdp_system(n, 1.0).dense(), np.eye(n) + n * M.T @ M)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -198,9 +197,9 @@ class TestHatTrace:
 
 
 def takahashi_trace(n, lams):
-    """trace((n*lam*M'M + I)^{-1}) by the Takahashi recurrence stepped point
-    by point in Python and vectorized across lambda, the package's trace
-    before it became one banded back-substitution per lambda."""
+    """trace((n*lam*M'M + I)^{-1}) by the Takahashi recurrence on the float
+    banded factor, stepped point by point in Python and vectorized across
+    lambda."""
     k = lams.shape[0]
     l1, l2, dinv = np.zeros((n, k)), np.zeros((n, k)), np.empty((n, k))
     for j, lam in enumerate(lams):
@@ -217,6 +216,48 @@ def takahashi_trace(n, lams):
         a, b, c = dinv[i] - (p * z01 + q * z02), z01, a
         tr += a
     return tr
+
+
+def mp_residual_and_trace(y, lam):
+    """||y - A^{-1} y||^2 and trace(A^{-1}) for A = I + n*lam*M'M in 40-digit
+    arithmetic, with n*lam and M'M exact: a banded LDL' factor, one solve,
+    and the Takahashi recurrence for the band of A^{-1}."""
+    n = len(y)
+    # M'M[i, i + k] at mm[i][k], summed from the rows (1, -2, 1) of M
+    mm = [[0, 0, 0] for _ in range(n)]
+    for r in range(n - 2):
+        for a, ca in enumerate((1, -2, 1)):
+            for b, cb in enumerate((1, -2, 1)[a:]):
+                mm[r + a][b] += ca * cb
+    with mpmath.workdps(40):
+        s = n * mpmath.mpf(float(lam))
+        # A = L D L', L unit lower with L[i+1, i] = p_i and L[i+2, i] = q_i
+        D, p, q = [], [], []
+        for i in range(n):
+            d, e = 1 + s * mm[i][0], s * mm[i][1]
+            if i >= 1:
+                d -= p[i - 1] ** 2 * D[i - 1]
+                e -= q[i - 1] * p[i - 1] * D[i - 1]
+            if i >= 2:
+                d -= q[i - 2] ** 2 * D[i - 2]
+            D.append(d)
+            p.append(e / d)
+            q.append(s * mm[i][2] / d)
+        x = [mpmath.mpf(float(v)) for v in y]
+        for i in range(1, n):
+            x[i] -= p[i - 1] * x[i - 1] + (q[i - 2] * x[i - 2] if i >= 2 else 0)
+        x = [x[i] / D[i] for i in range(n)] + [0, 0]
+        for i in range(n - 1, -1, -1):
+            x[i] -= p[i] * x[i + 1] + q[i] * x[i + 2]
+        rss = mpmath.fsum((float(y[i]) - x[i]) ** 2 for i in range(n))
+        # a, b, c = Z[i+1, i+1], Z[i+1, i+2], Z[i+2, i+2] for Z = A^{-1}
+        a = b = c = tr = mpmath.mpf(0)
+        for i in range(n - 1, -1, -1):
+            z02 = -(p[i] * b + q[i] * c)
+            z01 = -(p[i] * a + q[i] * b)
+            a, b, c = 1 / D[i] - (p[i] * z01 + q[i] * z02), z01, a
+            tr += a
+        return float(rss), float(tr)
 
 
 def exact_trace(n, lam):
@@ -248,12 +289,34 @@ class TestFdpTrace:
         assert np.all(np.abs(got / expect - 1) <= 8 * eps * np.maximum(1.0, nl))
 
     def test_matches_point_recurrence_on_default_grid(self):
+        # every 12th grid lambda, 62.5 among them: the 40-digit reference
+        # costs about a second per lambda at this n
         n = 12_000
-        np.testing.assert_allclose(
-            fdp_hat_trace(n, DEFAULT_LAMBDA_GRID),
-            takahashi_trace(n, DEFAULT_LAMBDA_GRID),
-            rtol=1e-10,
-        )
+        lams = DEFAULT_LAMBDA_GRID[::12]
+        y = np.sin(6 * np.linspace(0, 1, n)) + 0.3 * np.random.default_rng(12).normal(size=n)
+        expect = np.array([mp_residual_and_trace(y, lam) for lam in lams])
+        rss, tr = numerics.fdp_residual_and_trace(y, lams)
+        np.testing.assert_allclose(rss, expect[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(tr, expect[:, 1], rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 400),
+        log_lam=st.floats(-8.0, 10.0),
+        slope=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, log_lam=10.0, slope=0.0, seed=0)
+    @example(n=400, log_lam=10.0, slope=1e3, seed=0)
+    def test_matches_mp_reference(self, n, log_lam, slope, seed):
+        # a linear trend is in the null space of M, so at large lambda the
+        # residual is what is left after removing it
+        y = np.random.default_rng(seed).normal(size=n) + slope * np.linspace(0, 1, n)
+        lam = 10.0**log_lam
+        rss, tr = numerics.fdp_residual_and_trace(y, lam)
+        expect_rss, expect_tr = mp_residual_and_trace(y, lam)
+        assert rss[0] == pytest.approx(expect_rss, rel=1e-10)
+        assert tr[0] == pytest.approx(expect_tr, rel=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 2000), i=st.integers(0, DEFAULT_LAMBDA_GRID.shape[0] - 1))
