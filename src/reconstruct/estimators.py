@@ -554,20 +554,8 @@ def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
     if n < 3:
         raise DimensionMismatch("the finite-difference fit needs at least 3 points")
     _require_finite("y", y)
-    lam, grid = _lambda_plan(lambda_policy, grid, n)
-    if grid is None:
-        gamma, gval = banded_spd_solve(fdp_system(n, lam), y), None
-    else:
-        curve = _gcv_curve(n, *_fdp_rss_and_dof(y, grid))
-        while True:
-            lam, gval = _gcv_select(grid, curve)
-            try:
-                gamma = banded_spd_solve(fdp_system(n, lam), y)
-                break
-            except NotPositiveDefinite:
-                # the trace holds up to n*lam*eps = 1, the banded factor
-                # not always as far: a pick it cannot solve scores +inf
-                curve[grid == lam] = math.inf
+    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, lambda g: _fdp_rss_and_dof(y, g))
+    gamma = banded_spd_solve(fdp_system(n, lam), y)
     x = np.linspace(0.0, 1.0, n)
     return FdpFit(
         gamma_hat=gamma,

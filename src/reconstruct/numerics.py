@@ -14,9 +14,11 @@ from which its residual and trace at every lambda of a grid follow in
 O(len(d)) each.  The pentadiagonal finite-difference smoother is
 diagonalized the same way, up to one rank-1 term per parity, by the
 discrete cosine transform: one DCT of y (from one real FFT; ``scipy.fft``
-is not imported), then its exact residual and trace in O(n) per lambda
-with no factorization, accurate to about 1e-15 relative while
-n*lam * eps < 1 and NaN beyond.
+is not imported), then its exact residual and trace in O(n) per lambda,
+accurate to about 1e-15 relative.  They are NaN from n*lam * eps = 1 on
+and, above 1/64 of that, wherever the banded factor of the float system
+fails, so GCV never picks a lambda the fit cannot solve; only those
+lambdas are factored.
 """
 
 from __future__ import annotations
@@ -313,11 +315,20 @@ def fdp_residual_and_trace(y, lam):
 
     Residual and trace agree with a 40-digit LDL' and Takahashi reference
     to a few eps relative wherever measured (n from 3 to 12000, n*lam up
-    to 3.6e15).  From ``n*lam * eps >= 1`` on, the unit diagonal is below
-    the rounding of the n*lam*M'M entries, and such a lambda (or one that
-    is negative or not finite) gives NaN for both, which GCV scores as
-    +inf.  Lambdas are taken one at a time, so each entry of a grid equals
-    a call with that lambda alone.
+    to 3.6e15).  Both are NaN, which GCV scores as +inf, for a negative
+    or non-finite lambda, from ``n*lam * eps >= 1`` on, where the unit
+    diagonal is below the rounding of the n*lam*M'M entries, and wherever
+    the banded Cholesky factor of the float system :func:`fdp_system`,
+    which the fit solves at the chosen lambda, fails.  That factor is certain to succeed while
+    ``64 * n*lam * eps < 1``: there Demmel's condition for a band of
+    half-width 2 (Demmel 1989; Higham 2002, sec. 10.1), lambda_min(H) >
+    5 gamma_3 / (1 - gamma_3), about 7.5 eps, holds for H the unit-diagonal
+    scaling of the float system, whose lambda_min(H) is at least about
+    (1 - 6 n*lam eps) / (6 n*lam + 1).  So only a lambda between the two
+    bounds is factored, to see whether it can be solved; in practice the
+    first failures come at n*lam * eps = 1/3, where the interior diagonal
+    6 n*lam + 1 rounds to 6 n*lam.  Lambdas are taken one at a time, so
+    each entry of a grid equals a call with that lambda alone.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.shape[0]
@@ -340,6 +351,11 @@ def fdp_residual_and_trace(y, lam):
         s = n * lam_j
         if not (0.0 <= s and s * _EPS < 1.0):
             continue
+        if 64.0 * s * _EPS >= 1.0:
+            try:
+                _banded_factor(fdp_system(n, lam_j))
+            except NotPositiveDefinite:
+                continue
         rss_j, tr_j = 0.0, 1.0
         for l2p, wp, gp, yp, l2y, e in parities:
             q = 1.0 / (1.0 + s * l2p)

@@ -23,6 +23,7 @@ from reconstruct.errors import (
     DimensionMismatch,
     LengthMismatch,
     NonFiniteInput,
+    NotPositiveDefinite,
     SingularSystem,
 )
 from reconstruct.estimators import (
@@ -336,19 +337,23 @@ class TestFdp:
         assert np.isfinite(rss[0]) and np.isfinite(tr[0])
         assert np.isnan(rss[1]) and np.isnan(tr[1])
 
-    def test_pick_the_banded_factor_cannot_solve_is_skipped(self):
-        # on a noisy line GCV falls toward lambda = inf; the trace is finite
-        # up to n*lam*eps = 1, and close to that the banded factor of the
-        # final solve can fail (here at the last grid point)
+    def test_lambda_the_banded_factor_cannot_solve_scores_infinite_gcv(self):
+        # on a noisy line GCV falls toward lambda = inf; close to
+        # n*lam*eps = 1 the banded factor can fail (here at the last grid
+        # point), and the curve is inf there, so the fit picks a lambda
+        # it can solve
         n = 3000
         x = np.linspace(0, 1, n)
         y = x + 0.01 * np.random.default_rng(0).normal(size=n)
         grid = np.logspace(-8, np.log10(0.99 / np.finfo(float).eps / n), 40)
+        with pytest.raises(NotPositiveDefinite):
+            numerics.banded_spd_solve(numerics.fdp_system(n, grid[-1]), y)
         curve = fdp_gcv(y, grid)
-        assert np.all(np.isfinite(curve))
+        assert curve[-1] == math.inf
+        assert np.all(np.isfinite(curve[:-1]))
         fit = fit_fdp(y, "gcv", grid)
-        assert fit.lam in grid
-        assert fit.diagnostics.gcv == curve[grid == fit.lam][0]
+        assert fit.lam == grid[-2]
+        assert fit.diagnostics.gcv == np.min(curve)
         gamma = numerics.banded_spd_solve(numerics.fdp_system(n, fit.lam), y)
         np.testing.assert_array_equal(fit.gamma_hat, gamma)
 

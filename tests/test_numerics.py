@@ -288,6 +288,15 @@ class TestFdpTrace:
         eps = np.finfo(float).eps
         assert np.all(np.abs(got / expect - 1) <= 8 * eps * np.maximum(1.0, nl))
 
+    def test_matches_mp_reference_on_the_whole_default_grid(self):
+        # the 40-digit reference costs about 0.2 s per lambda at this n
+        n = 2000
+        y = np.sin(6 * np.linspace(0, 1, n)) + 0.3 * np.random.default_rng(2).normal(size=n)
+        expect = np.array([mp_residual_and_trace(y, lam) for lam in DEFAULT_LAMBDA_GRID])
+        rss, tr = numerics.fdp_residual_and_trace(y, DEFAULT_LAMBDA_GRID)
+        np.testing.assert_allclose(rss, expect[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(tr, expect[:, 1], rtol=1e-12)
+
     def test_matches_point_recurrence_on_default_grid(self):
         # every 12th grid lambda, 62.5 among them: the 40-digit reference
         # costs about a second per lambda at this n
@@ -317,6 +326,21 @@ class TestFdpTrace:
         expect_rss, expect_tr = mp_residual_and_trace(y, lam)
         assert rss[0] == pytest.approx(expect_rss, rel=1e-10)
         assert tr[0] == pytest.approx(expect_tr, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 50, 3000])
+    def test_nan_exactly_where_the_banded_factor_fails(self, n):
+        # below 64 * n*lam * eps = 1 the factor cannot fail; from there to
+        # n*lam * eps = 1 a lambda counts only if the fit could solve it
+        eps = np.finfo(float).eps
+        lams = np.linspace(0.002, 0.999, 300) / eps / n
+        fails = np.zeros(lams.shape[0], dtype=bool)
+        for j, lam in enumerate(lams):
+            try:
+                banded_spd_solve(fdp_system(n, lam), np.ones(n))
+            except NotPositiveDefinite:
+                fails[j] = True
+        assert fails.any() and not fails[64 * n * lams * eps < 1].any()
+        np.testing.assert_array_equal(np.isnan(fdp_hat_trace(n, lams)), fails)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 2000), i=st.integers(0, DEFAULT_LAMBDA_GRID.shape[0] - 1))
