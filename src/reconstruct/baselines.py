@@ -12,7 +12,7 @@ basis [G_X, P]; SPGP and the quasi-posterior share one m x m ridge solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -25,17 +25,10 @@ from .estimators import (
     _kriging_full_model,
     _lambda_plan,
     _tune,
-    predict,
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
 from .kernels import KernelSpec, kernel_matrix
 from .numerics import demmler_reinsch, spd_factor
-
-# Beyond this many training points the n-vector of fitted values is not
-# materialized for the full-coefficient Nystrom model (it would cost an
-# n x n kernel sweep); prediction does not need it.
-_GAMMA_MATERIALIZE_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class VarianceParams:
@@ -118,7 +111,7 @@ def fit_nystrom(
         raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")
     c = coefficients(lam)
     beta, alpha = c[:q], (y - B @ c) / (n * lam)
-    model = FittedModel(
+    return FittedModel(
         interpolator="gp",
         knots=KnotSet(X),
         gamma_hat=None,
@@ -130,9 +123,6 @@ def fit_nystrom(
         method="nystrom",
         diagnostics=FitDiagnostics(gcv=gval, jitter=max(jitter, facA.jitter_applied)),
     )
-    if n <= _GAMMA_MATERIALIZE_LIMIT:
-        model = replace(model, gamma_hat=predict(model, X))
-    return model
 
 
 def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:

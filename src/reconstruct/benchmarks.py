@@ -10,6 +10,8 @@ the canonical report payload for the same reason.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +40,7 @@ from .estimators import (
     fit_replication,
     predict,
 )
-from .kernels import DEFAULT_GAUSSIAN_RATE, default_gaussian, gaussian_kernel
+from .kernels import DEFAULT_GAUSSIAN_RATE, gaussian_kernel
 from .interpolators import KnotSet
 from .tables import read_table
 
@@ -230,7 +232,7 @@ class ExperimentConfig:
     test_size: int = 2000
     seed: Optional[int] = None
     lambda_grid: Optional[list] = None
-    theta: Optional[float] = DEFAULT_GAUSSIAN_RATE
+    theta: float = DEFAULT_GAUSSIAN_RATE
     ackley_standard: bool = False
     trials: int = DEFAULT_SUBSET_TRIALS
     # max_iter and tol of estimate_kernel_params (the names predate its
@@ -298,8 +300,7 @@ def _table1_rep(cfg: ExperimentConfig, rep: int) -> dict:
     rng_test = np.random.default_rng(test_ss)
     Xtest = rng_test.random((cfg.test_size, train.X.shape[1]))
     truth = test_function(cfg.function, Xtest, cfg.ackley_standard)
-    d = train.X.shape[1]
-    spec = default_gaussian(d) if cfg.theta is None else gaussian_kernel(np.full(d, cfg.theta))
+    spec = gaussian_kernel(np.full(train.X.shape[1], cfg.theta))
     grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
     out = {"rep": rep, "mse": {}, "lambda": {}, "failed": {}}
     for method in cfg.methods:
@@ -349,13 +350,27 @@ def run_table1(config: ExperimentConfig) -> BenchmarkReport:
     )
 
 
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 def _map_indexed(fn, config, count, jobs):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, [config] * count, range(count)))
-    else:
-        results = [fn(config, i) for i in range(count)]
-    return results
+    # Every repetition, jobs=1 included, runs in a spawned worker on one
+    # BLAS thread, so a report's digits do not depend on the caller's
+    # thread count.  A spawned child reads these variables when it loads
+    # OpenBLAS (a forked one inherits the parent's loaded library), so
+    # they are set only while the pool starts and runs, then restored.
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max(1, jobs or 1), mp_context=spawn) as pool:
+            return list(pool.map(fn, [config] * count, range(count)))
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +390,7 @@ def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
     ("mse"), failures ("failed"), rates ("theta") and SPGP's "variances".
     """
     rec = {"mse": {}, "failed": {}}
-    theta0 = np.full(X.shape[1], cfg.theta or DEFAULT_GAUSSIAN_RATE)
+    theta0 = np.full(X.shape[1], cfg.theta)
     try:
         kp = estimate_kernel_params(
             X, y, A, "constant+linear", theta0, max_iter=cfg.bcd_max_iter, tol=cfg.bcd_tol,

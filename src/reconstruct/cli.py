@@ -157,11 +157,12 @@ def _build_parser():
     bench = sub.add_parser("bench", help="benchmark suites")
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
-    def common(bp):
+    def common(bp, jobs=False):
         bp.add_argument("--seed", type=int, default=None)
         bp.add_argument("--out", required=True)
-        bp.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("RECONSTRUCT_JOBS", "1")))
+        if jobs:
+            bp.add_argument("--jobs", type=int,
+                            default=int(os.environ.get("RECONSTRUCT_JOBS", "1")))
 
     b1 = bsub.add_parser("table1")
     b1.add_argument("--model", default="I", choices=["I", "II", "III"])
@@ -172,7 +173,7 @@ def _build_parser():
     b1.add_argument("--sigma", type=float, default=1.0)
     b1.add_argument("--methods", default="krr,gpr,gprr")
     b1.add_argument("--ackley-standard", action="store_true")
-    common(b1)
+    common(b1, jobs=True)
 
     b3 = bsub.add_parser("table3")
     b3.add_argument("--n", type=int, default=5000)
@@ -180,7 +181,7 @@ def _build_parser():
     b3.add_argument("--outer", type=int, default=5)
     b3.add_argument("--inner", type=int, default=10)
     b3.add_argument("--N", type=int, default=2000)
-    common(b3)
+    common(b3, jobs=True)
 
     br = bsub.add_parser("replication")
     br.add_argument("--reps", type=int, default=20)
@@ -346,15 +347,13 @@ def _cmd_bench(args):
         report = run_table3(config)
     elif args.bench_command == "replication":
         config = ExperimentConfig(
-            function="f1d", d=1, m=args.m, repetitions=args.reps,
-            seed=args.seed, jobs=args.jobs,
+            function="f1d", d=1, m=args.m, repetitions=args.reps, seed=args.seed,
         )
         report = run_replication_study(config)
     else:
         dataset = load_ccpp(args.data)
         config = ExperimentConfig(
-            m=args.m, iterations=args.iterations, trials=args.trials,
-            seed=args.seed, jobs=args.jobs,
+            m=args.m, iterations=args.iterations, trials=args.trials, seed=args.seed,
         )
         report = run_ccpp(dataset, config)
     _write_report(args.out, report)

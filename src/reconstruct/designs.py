@@ -125,21 +125,15 @@ def select_knots(X, m: int, trials: int = DEFAULT_SUBSET_TRIALS, seed=None) -> K
                          criterion=best_score)
 
 
-def next_knot(X, A, y, model=None, predictions=None, exclude_indices=None) -> int:
+def next_knot(X, A, y, predictions, exclude_indices=None) -> int:
     """Index into X of the unused candidate with the largest squared residual.
 
-    Either a fitted model or precomputed predictions at the rows of X must
-    be supplied.  Membership in A is decided by exact row equality unless
-    explicit indices are given; ties go to the lowest index.
+    ``predictions`` are the fitted values at the rows of X.  Membership in
+    A is decided by exact row equality unless explicit indices are given;
+    ties go to the lowest index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    if predictions is None:
-        if model is None:
-            raise ValueError("supply either a model or precomputed predictions")
-        from .estimators import predict  # deferred: estimators imports designs
-
-        predictions = predict(model, X)
     predictions = np.asarray(predictions, dtype=float).ravel()
     if predictions.shape[0] != X.shape[0] or y.shape[0] != X.shape[0]:
         raise LengthMismatch("X, y and predictions must have matching lengths")

@@ -75,15 +75,14 @@ class TestNystrom:
             atol=1e-6 * (1 + np.max(np.abs(predict(b, xs)))),
         )
 
-    def test_gamma_hat_consistent(self, rng):
+    def test_fitted_values_not_stored(self, rng):
+        # prediction needs only beta and w; the n fitted values would cost
+        # an n x n kernel sweep at every n
         X = rng.random((40, 2))
         y = rng.normal(size=40)
         A = separated_points(rng, 8, 2)
         model = fit_nystrom(X, y, A, default_gaussian(2), "constant+linear", 0.05)
-        np.testing.assert_allclose(
-            predict(model, X), model.gamma_hat,
-            atol=1e-8 * (1 + np.max(np.abs(model.gamma_hat))),
-        )
+        assert model.gamma_hat is None
 
     def test_linear_in_y(self, rng):
         X = rng.random((50, 2))
@@ -119,16 +118,16 @@ class TestNystrom:
         X = rng.random((n, 4))
         y = rng.normal(size=n)
         spec = gaussian_kernel(np.full(4, 1.0))
-        times = {}
-        for m in (20, 40):
-            A = KnotSet(X[:m])
-            fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)
-            samples = []
-            for _ in range(3):
+        knots = {m: KnotSet(X[:m]) for m in (20, 40)}
+        times = {m: np.inf for m in knots}
+        for m, A in knots.items():
+            fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)  # warm
+        # alternate the two sizes so drift in machine speed hits both alike
+        for _ in range(5):
+            for m, A in knots.items():
                 t0 = time.perf_counter()
                 fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)
-                samples.append(time.perf_counter() - t0)
-            times[m] = min(samples)
+                times[m] = min(times[m], time.perf_counter() - t0)
         # between linear (2x) and quadratic (4x) growth, with slack
         assert 1.2 < times[40] / times[20] < 6.0
 

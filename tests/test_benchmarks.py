@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from reconstruct.benchmarks import (
     BOREHOLE_RANGES,
     ExperimentConfig,
+    _map_indexed,
     borehole_inputs,
     evaluate,
     load_ccpp,
@@ -145,6 +147,28 @@ class TestTable1:
         report = run_table1(cfg)
         assert not report.errors
         assert report.summary["gprr"]["mean"] < 1e-10
+
+    @pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "set"])
+    def test_caller_thread_settings_restored(self, monkeypatch, caller):
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if caller is None:
+                monkeypatch.delenv(key, raising=False)
+            else:
+                monkeypatch.setenv(key, caller)
+        cfg = ExperimentConfig(function="I", d=2, n=40, repetitions=2, test_size=50, seed=3)
+        assert not run_table1(cfg).errors
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == caller
+        assert os.environ.get("OMP_NUM_THREADS") == caller
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_workers_run_on_one_blas_thread(self, monkeypatch, jobs):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        # each repetition calls os.getenv(name, index) in a worker
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            assert _map_indexed(os.getenv, name, 3, jobs) == ["1"] * 3
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_seed_required(self):
         with pytest.raises(ValueError):

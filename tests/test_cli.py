@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reconstruct
 from reconstruct.cli import _read_xy, dispatch
 from reconstruct.designs import select_knots
 from reconstruct.estimators import (
@@ -424,6 +428,32 @@ class TestBench:
         # timings live outside the canonical payload
         assert "timings" not in json.loads(out1.read_text())
         assert (tmp_path / "r1.json.timings.json").exists()
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        # the caller's BLAS thread count and --jobs must not reach the digits
+        src = os.path.dirname(os.path.dirname(reconstruct.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        args = [
+            sys.executable, "-m", "reconstruct.cli", "bench", "table1", "--model", "II",
+            "--n", "200", "--reps", "4", "--seed", "13",
+        ]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            for jobs in ("1", "2"):
+                out = tmp_path / f"r{threads}{jobs}.json"
+                subprocess.run(args + ["--jobs", jobs, "--out", str(out)], env=env, check=True,
+                               timeout=600)
+                outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 3
+
+    def test_jobs_only_on_repeated_studies(self, tmp_path, capsys):
+        # replication and ccpp are one sequential computation each
+        for study in (["replication"], ["ccpp", "--data", str(tmp_path / "absent.csv")]):
+            rc = dispatch(["bench", *study, "--seed", "5", "--jobs", "2",
+                           "--out", str(tmp_path / "r.json")])
+            assert rc == 1
+            assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_replication_bench_smoke(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

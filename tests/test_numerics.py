@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +16,7 @@ from reconstruct.numerics import (
     spd_factor,
 )
 
-from conftest import fdp_trace_reference, random_spd
+from conftest import mp_residual_and_trace, random_spd
 
 
 def second_difference_dense(n):
@@ -192,8 +191,8 @@ class TestHatTrace:
     def test_fdp_exact_beyond_ten_thousand(self):
         n = 12_000
         lams = np.array([1e-8, 1e-3, 1e2])
-        expect = [fdp_trace_reference(n, lam) for lam in lams]
-        np.testing.assert_allclose(fdp_hat_trace(n, lams), expect, rtol=1e-10)
+        expect = [mp_residual_and_trace(np.zeros(n), lam)[1] for lam in lams]
+        np.testing.assert_allclose(fdp_hat_trace(n, lams), expect, rtol=1e-12)
 
 
 def takahashi_trace(n, lams):
@@ -216,48 +215,6 @@ def takahashi_trace(n, lams):
         a, b, c = dinv[i] - (p * z01 + q * z02), z01, a
         tr += a
     return tr
-
-
-def mp_residual_and_trace(y, lam):
-    """||y - A^{-1} y||^2 and trace(A^{-1}) for A = I + n*lam*M'M in 40-digit
-    arithmetic, with n*lam and M'M exact: a banded LDL' factor, one solve,
-    and the Takahashi recurrence for the band of A^{-1}."""
-    n = len(y)
-    # M'M[i, i + k] at mm[i][k], summed from the rows (1, -2, 1) of M
-    mm = [[0, 0, 0] for _ in range(n)]
-    for r in range(n - 2):
-        for a, ca in enumerate((1, -2, 1)):
-            for b, cb in enumerate((1, -2, 1)[a:]):
-                mm[r + a][b] += ca * cb
-    with mpmath.workdps(40):
-        s = n * mpmath.mpf(float(lam))
-        # A = L D L', L unit lower with L[i+1, i] = p_i and L[i+2, i] = q_i
-        D, p, q = [], [], []
-        for i in range(n):
-            d, e = 1 + s * mm[i][0], s * mm[i][1]
-            if i >= 1:
-                d -= p[i - 1] ** 2 * D[i - 1]
-                e -= q[i - 1] * p[i - 1] * D[i - 1]
-            if i >= 2:
-                d -= q[i - 2] ** 2 * D[i - 2]
-            D.append(d)
-            p.append(e / d)
-            q.append(s * mm[i][2] / d)
-        x = [mpmath.mpf(float(v)) for v in y]
-        for i in range(1, n):
-            x[i] -= p[i - 1] * x[i - 1] + (q[i - 2] * x[i - 2] if i >= 2 else 0)
-        x = [x[i] / D[i] for i in range(n)] + [0, 0]
-        for i in range(n - 1, -1, -1):
-            x[i] -= p[i] * x[i + 1] + q[i] * x[i + 2]
-        rss = mpmath.fsum((float(y[i]) - x[i]) ** 2 for i in range(n))
-        # a, b, c = Z[i+1, i+1], Z[i+1, i+2], Z[i+2, i+2] for Z = A^{-1}
-        a = b = c = tr = mpmath.mpf(0)
-        for i in range(n - 1, -1, -1):
-            z02 = -(p[i] * b + q[i] * c)
-            z01 = -(p[i] * a + q[i] * b)
-            a, b, c = 1 / D[i] - (p[i] * z01 + q[i] * z02), z01, a
-            tr += a
-        return float(rss), float(tr)
 
 
 def exact_trace(n, lam):
