@@ -161,8 +161,8 @@ def _build_parser():
         bp.add_argument("--seed", type=int, default=None)
         bp.add_argument("--out", required=True)
         if jobs:
-            bp.add_argument("--jobs", type=int,
-                            default=int(os.environ.get("RECONSTRUCT_JOBS", "1")))
+            # None: read RECONSTRUCT_JOBS when the command runs (_jobs)
+            bp.add_argument("--jobs", type=int, default=None)
 
     b1 = bsub.add_parser("table1")
     b1.add_argument("--model", default="I", choices=["I", "II", "III"])
@@ -249,8 +249,7 @@ def _cmd_predict(args):
     X, _ = _read_xy(args.data, need_y=False)
     preds = predict(model, X)
     with open(args.out, "w") as fh:
-        fh.write("prediction\n")
-        fh.writelines(f"{v!r}\n" for v in preds.tolist())
+        fh.write("\n".join(["prediction", *map(repr, preds.tolist())]) + "\n")
     return 0
 
 
@@ -315,6 +314,17 @@ def _cmd_knots(args):
     return 0
 
 
+def _jobs(args):
+    """--jobs, else RECONSTRUCT_JOBS, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    text = os.environ.get("RECONSTRUCT_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"RECONSTRUCT_JOBS must be an integer, not {text!r}") from None
+
+
 def _cmd_bench(args):
     _require_seed(args)
     if args.bench_command == "table1":
@@ -328,7 +338,7 @@ def _cmd_bench(args):
             methods=tuple(args.methods.split(",")),
             ackley_standard=args.ackley_standard,
             seed=args.seed,
-            jobs=args.jobs,
+            jobs=_jobs(args),
         )
         report = run_table1(config)
     elif args.bench_command == "table3":
@@ -342,7 +352,7 @@ def _cmd_bench(args):
             test_size=args.N,
             methods=("nystrom", "spgp", "gprr"),
             seed=args.seed,
-            jobs=args.jobs,
+            jobs=_jobs(args),
         )
         report = run_table3(config)
     elif args.bench_command == "replication":

@@ -129,6 +129,12 @@ def _require_finite(name, a):
         raise NonFiniteInput(f"{name} has {np.count_nonzero(~np.isfinite(a))} NaN or inf entries")
 
 
+def _require_finite_queries(X):
+    bad = np.count_nonzero(~np.isfinite(X))
+    if bad:
+        raise NonFiniteInput(f"query points have {bad} NaN or inf entries")
+
+
 def predict(model: FittedModel, Xstar) -> np.ndarray:
     """Evaluate the fitted surface at each row of Xstar."""
     Xstar = np.asarray(Xstar, dtype=float)
@@ -143,9 +149,7 @@ def predict(model: FittedModel, Xstar) -> np.ndarray:
         raise DimensionMismatch(
             f"points have {Xstar.shape[1]} coordinates, model has {model.knots.d}"
         )
-    bad = np.count_nonzero(~np.isfinite(Xstar))
-    if bad:
-        raise NonFiniteInput(f"query points have {bad} NaN or inf entries")
+    _require_finite_queries(Xstar)
     if model.interpolator == "spline":
         coeffs = fit_natural_spline(model.knots.points[:, 0], model.gamma_hat)
         return np.asarray(spline_eval(coeffs, Xstar[:, 0]))
@@ -527,6 +531,8 @@ class FdpFit:
     diagnostics: FitDiagnostics = field(default_factory=FitDiagnostics)
 
     def predict(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        _require_finite_queries(x)
         return np.asarray(spline_eval(self.spline, x))
 
 

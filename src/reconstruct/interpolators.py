@@ -4,6 +4,12 @@ Four families: barycentric Lagrange polynomials, cubic splines, the
 plain kernel interpolator, and the kriging-style interpolator with
 regression terms.  All are linear in the knot values, so each exposes
 an evaluation that is exact at the knots.
+
+A cubic spline on m knots costs O(m) to fit.  Evaluating it costs O(1)
+per query on evenly spaced knots, where the interval a query falls in is
+guessed from its position and the guess checked against two knots; a query
+whose guess fails (uneven knots, points outside the knot range, NaN) takes
+an O(log m) binary search.  Queries go through in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     SingularSystem,
     UnsortedKnots,
 )
-from .kernels import KernelSpec, kernel_matrix, kernel_matvec
+from .kernels import CACHE_BLOCK_FLOATS, KernelSpec, kernel_matrix, kernel_matvec
 from .numerics import SpdFactorization, spd_factor
 
 G_KINDS = ("none", "constant", "constant+linear")
@@ -193,14 +199,62 @@ def fit_natural_spline(knots, gamma) -> SplineCoefficients:
 
 
 def spline_eval(coeffs: SplineCoefficients, x):
-    """Evaluate a fitted spline; ends extrapolate with the boundary cubic."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = np.clip(np.searchsorted(coeffs.knots, xs, side="right") - 1, 0,
-                  coeffs.knots.shape[0] - 2)
-    t = xs - coeffs.knots[idx]
-    a, b, c, e = (coeffs.coeffs[idx, k] for k in range(4))
-    out = a + t * (b + t * (c + t * e))
-    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    """Evaluate a fitted spline; ends extrapolate with the boundary cubic.
+
+    The queries go through in blocks of ``CACHE_BLOCK_FLOATS``.  Each
+    query's interval is guessed as if the knots were evenly spaced, and the
+    guess is checked against the knots (de Boor's INTERV: guess, then
+    check), so a query costs O(1) on evenly spaced knots.  Only the queries
+    whose guess fails take a binary search: on uneven knots, outside the
+    knot range, and NaN.  Every output is bitwise equal to the whole-array
+    formula ``a + t * (b + t * (c + t * e))`` at the interval
+    ``searchsorted`` picks.
+    """
+    knots = np.asarray(coeffs.knots, dtype=float)
+    table = np.ascontiguousarray(coeffs.coeffs, dtype=float)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    n, last = flat.shape[0], knots.shape[0] - 2
+    out = np.empty(n)
+    block = max(1, min(n, CACHE_BLOCK_FLOATS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (last + 1) / (knots[-1] - knots[0])
+    g, t = np.empty((2, block))
+    rows = np.empty((block, 4))
+    idx = np.empty(block, dtype=np.intp)
+    ok, below = np.empty((2, block), dtype=bool)
+    for s in range(0, n, block):
+        xb, ob = flat[s : s + block], out[s : s + block]
+        k = xb.shape[0]
+        gb, tb, rb, ib, okb, bb = g[:k], t[:k], rows[:k], idx[:k], ok[:k], below[:k]
+        # guess floor((x - t_0) / h), clipped to [0, m - 2]; fmax turns NaN
+        # into 0, so no NaN is cast to an index
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(xb, knots[0], out=gb)
+            np.multiply(gb, scale, out=gb)
+        np.fmax(gb, 0.0, out=gb)
+        np.fmin(gb, last, out=gb)
+        np.copyto(ib, gb, casting="unsafe")
+        # keep the guesses with t_i <= x < t_(i+1); NaN fails both tests
+        np.take(knots, ib, out=tb, mode="clip")
+        np.less_equal(tb, xb, out=okb)
+        np.take(knots[1:], ib, out=gb, mode="clip")
+        np.less(xb, gb, out=bb)
+        okb &= bb
+        if not okb.all():
+            miss = np.flatnonzero(~okb)
+            ib[miss] = np.clip(np.searchsorted(knots, xb[miss], side="right") - 1, 0, last)
+            tb[miss] = knots[ib[miss]]
+        # Horner in place, every product and sum with its operands in the
+        # order of the whole-array formula
+        np.subtract(xb, tb, out=tb)
+        np.take(table, ib, axis=0, out=rb, mode="clip")
+        np.multiply(tb, rb[:, 3], out=ob)
+        for j in (2, 1, 0):
+            np.add(rb[:, j], ob, out=ob)
+            if j:
+                np.multiply(tb, ob, out=ob)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,29 @@ class TestFitPredict:
         assert pred_csv.read_bytes() == text.encode()
         _assert_bitwise(np.loadtxt(pred_csv, skiprows=1, ndmin=1), expect)
 
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324],
+        [1.0, -2.0, 3e15, 2.0**53, 1e16, 0.1, 1.0 / 3.0],
+        [],
+    ], ids=["tiny-huge-signed-zero", "whole-numbers", "no-rows"])
+    def test_prediction_file_is_one_repr_per_row(self, tmp_path, train_csv, monkeypatch,
+                                                 values, capsys):
+        path, X, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "krr",
+                         "--out", str(out)]) == 0
+        preds = np.array(values, dtype=float)
+        monkeypatch.setattr("reconstruct.cli.predict", lambda model, Xs: preds)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x1,x2\n0.5,0.5\n")
+        pred_csv = tmp_path / "pred.csv"
+        assert dispatch(["predict", "--model", str(out), "--data", str(pts),
+                         "--out", str(pred_csv)]) == 0
+        text = "prediction\n" + "".join(f"{v!r}\n" for v in preds.tolist())
+        assert pred_csv.read_bytes() == text.encode()
+        if values:
+            _assert_bitwise(np.loadtxt(pred_csv, skiprows=1, ndmin=1), preds)
+
     @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
     def test_fit_without_header_is_data_error(self, tmp_path, text, capsys):
         data = tmp_path / "empty.csv"
@@ -454,6 +477,34 @@ class TestBench:
                            "--out", str(tmp_path / "r.json")])
             assert rc == 1
             assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_bad_jobs_variable_is_a_usage_error_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RECONSTRUCT_JOBS", "two")
+        out = tmp_path / "r.json"
+        rc = dispatch([
+            "bench", "table1", "--n", "40", "--reps", "2", "--N", "50",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "RECONSTRUCT_JOBS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_variable_read_only_by_bench_commands_with_jobs(self, tmp_path, train_csv,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setenv("RECONSTRUCT_JOBS", "two")
+        path, _, _ = train_csv
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "krr",
+                         "--out", str(model)]) == 0
+        assert dispatch(["inspect", "--model", str(model)]) == 0
+        assert "method:" in capsys.readouterr().out
+        # an explicit --jobs wins over the variable
+        out = tmp_path / "r.json"
+        assert dispatch([
+            "bench", "table1", "--n", "40", "--reps", "2", "--N", "50",
+            "--seed", "3", "--jobs", "1", "--out", str(out),
+        ]) == 0
+        assert json.loads((tmp_path / "r.json.timings.json").read_text())["jobs"] == 1
 
     def test_replication_bench_smoke(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

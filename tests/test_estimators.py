@@ -306,6 +306,17 @@ class TestFdp:
         fit = fit_fdp(y, 0.05)
         np.testing.assert_allclose(fit.predict(fit.grid_x), fit.gamma_hat, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_predict_rejects_non_finite_queries(self, rng, bad):
+        fit = fit_fdp(rng.normal(size=30), 0.05)
+        with pytest.raises(NonFiniteInput, match="query points have 2 NaN or inf"):
+            fit.predict(np.array([0.2, bad, 0.5, bad]))
+        with pytest.raises(NonFiniteInput, match="query points have 1 NaN or inf"):
+            fit.predict(bad)
+        # finite points beyond the grid still extrapolate; a scalar gives a 0-d array
+        assert np.isfinite(fit.predict(np.array([-0.5, 1.5]))).all()
+        assert fit.predict(0.3).shape == ()
+
     def test_too_short(self):
         with pytest.raises(DimensionMismatch):
             fit_fdp(np.array([1.0, 2.0]), 0.1)

@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.interpolate import CubicSpline
 
+from reconstruct import interpolators
 from reconstruct.designs import chebyshev_knots, equispaced_knots
 from reconstruct.errors import (
     DimensionMismatch,
@@ -15,6 +18,7 @@ from reconstruct.errors import (
 )
 from reconstruct.interpolators import (
     KnotSet,
+    SplineCoefficients,
     design_matrix,
     fit_cubic_spline,
     fit_natural_spline,
@@ -181,6 +185,146 @@ class TestSpline:
 
         assert sup_err(16, "not-a-knot") / sup_err(8, "not-a-knot") < 1.0 / 8.0
         assert sup_err(128, "not-a-knot") < sup_err(128, "natural")
+
+
+def _spline_eval_whole_array(coeffs, x):
+    """The whole-array spline formula: searchsorted intervals, then Horner."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(coeffs.knots, xs, side="right") - 1, 0,
+                  coeffs.knots.shape[0] - 2)
+    t = xs - coeffs.knots[idx]
+    a, b, c, e = (coeffs.coeffs[idx, k] for k in range(4))
+    out = a + t * (b + t * (c + t * e))
+    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+
+
+def _bits(v):
+    # signed zeros and NaN payloads count too
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def _evaluated(f, *args):
+    """f(*args) and the set of floating-point warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, {str(w.message) for w in caught}
+
+
+def _assert_same_as_whole_array(coeffs, x):
+    """spline_eval gives the whole-array formula's bits and warnings (an
+    overflowing cubic warns, a NaN cast to an index would too)."""
+    got, got_warned = _evaluated(spline_eval, coeffs, x)
+    want, want_warned = _evaluated(_spline_eval_whole_array, coeffs, x)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert got_warned == want_warned
+    return got
+
+
+def _spline_knots(kind, m, lo, span, rng):
+    if kind == "two":
+        u = np.array([0.0, 1.0])
+    elif kind == "even":
+        u = np.linspace(0.0, 1.0, m)
+    elif kind == "chebyshev":
+        u = 0.5 - 0.5 * np.cos(np.pi * np.arange(m) / (m - 1))
+    elif kind == "clustered":
+        # most knots packed near one point, a few spread out
+        u = np.unique(np.concatenate([[0.0, 1.0], rng.random(m // 3),
+                                      0.4 + 1e-3 * rng.random(m - m // 3)]))
+    else:
+        u = np.unique(np.concatenate([[0.0, 1.0], rng.random(m)]))
+    kn = lo + span * u
+    return kn[np.concatenate([[True], np.diff(kn) > 0.0])]
+
+
+def _spline_queries(kn, count, rng):
+    """Queries drawn from knots, their float neighbours, points between and
+    beyond the knots, signed zeros, +-inf and NaN."""
+    span = kn[-1] - kn[0]
+    pool = np.concatenate([
+        kn,
+        np.nextafter(kn, -np.inf),
+        np.nextafter(kn, np.inf),
+        0.5 * (kn[:-1] + kn[1:]),
+        kn[0] + span * rng.random(64),
+        kn[0] - span * rng.random(8),
+        kn[-1] + span * rng.random(8),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300],
+    ])
+    return rng.choice(pool, count)
+
+
+class TestSplineEvalBlocked:
+    """spline_eval in blocks, guessing intervals, equals the whole-array
+    formula bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["two", "even", "chebyshev", "clustered", "random"]),
+        m=st.integers(3, 60),
+        lo=st.sampled_from([0.0, -0.5, 3.0]),
+        span=st.sampled_from([1.0, 1e-300, 1e-12, 1e12, 1e300]),
+        count=st.integers(0, 40),
+        block=st.sampled_from([1, 2, 7, None]),
+        sort=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_array_formula(self, kind, m, lo, span, count, block, sort, seed):
+        rng = np.random.default_rng(seed)
+        kn = _spline_knots(kind, m, lo * span, span, rng)
+        coeffs = SplineCoefficients(kn, rng.standard_normal((kn.shape[0] - 1, 4)), "natural")
+        x = _spline_queries(kn, count, rng)
+        if sort:
+            x = np.sort(x)
+        floats = interpolators.CACHE_BLOCK_FLOATS if block is None else block
+        with mock.patch.object(interpolators, "CACHE_BLOCK_FLOATS", floats):
+            batch = _assert_same_as_whole_array(coeffs, x)
+            # scalar and 0-d queries give floats equal to the batch entry
+            for j in range(min(count, 5)):
+                for q in (float(x[j]), np.array(x[j])):
+                    got = _assert_same_as_whole_array(coeffs, q)
+                    assert type(got) is float
+                    np.testing.assert_array_equal(_bits(got), _bits(batch[j]))
+            if count % 2 == 0:
+                grid = x.reshape(2, -1)
+                rows = _assert_same_as_whole_array(coeffs, grid)
+                assert rows.shape == grid.shape
+                np.testing.assert_array_equal(_bits(rows), _bits(batch.reshape(2, -1)))
+                # a row alone equals the same row inside the batch
+                for row, vals in zip(grid, rows):
+                    np.testing.assert_array_equal(_bits(_evaluated(spline_eval, coeffs, row)[0]),
+                                                  _bits(vals))
+
+    @pytest.mark.parametrize("kind", ["even", "chebyshev", "random"])
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15 + 3])
+    def test_matches_whole_array_formula_at_real_blocks(self, kind, n):
+        assert interpolators.CACHE_BLOCK_FLOATS == 2**15
+        rng = np.random.default_rng(n)
+        kn = _spline_knots(kind, 500, 0.0, 1.0, rng)
+        coeffs = fit_natural_spline(kn, np.sin(7.0 * kn))
+        for x in (np.linspace(-0.1, 1.1, n), _spline_queries(kn, n, rng)):
+            _assert_same_as_whole_array(coeffs, x)
+            # the first and the last queries alone
+            _assert_same_as_whole_array(coeffs, x[:10])
+            _assert_same_as_whole_array(coeffs, x[-10:])
+
+    def test_nan_gives_nan_without_warning(self):
+        coeffs = fit_natural_spline(np.linspace(0.0, 1.0, 9), np.arange(9.0) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spline_eval(coeffs, np.array([np.nan, 0.5, -np.nan]))
+            assert math.isnan(spline_eval(coeffs, np.nan))
+        assert np.isnan(got[0]) and np.isnan(got[2]) and got[1] == spline_eval(coeffs, 0.5)
+
+    def test_infinite_queries_match_whole_array_formula(self):
+        # t = +-inf makes the end cubic inf or NaN (inf * 0, inf - inf), and
+        # spline_eval gives the same bits and the same warnings
+        kn = np.linspace(0.0, 1.0, 9)
+        for gamma in (2.0 * kn + 1.0, np.sin(7.0 * kn), kn**3):
+            _assert_same_as_whole_array(fit_natural_spline(kn, gamma),
+                                        np.array([np.inf, -np.inf, 0.5]))
 
 
 class TestKernelInterp:
