@@ -217,8 +217,8 @@ def spline_eval(coeffs: SplineCoefficients, x):
     n, last = flat.shape[0], knots.shape[0] - 2
     out = np.empty(n)
     block = max(1, min(n, CACHE_BLOCK_FLOATS))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = (last + 1) / (knots[-1] - knots[0])
+    # Python floats: a span that overflows gives inf and a scale of 0
+    scale = (last + 1) / (float(knots[-1]) - float(knots[0]))
     g, t = np.empty((2, block))
     rows = np.empty((block, 4))
     idx = np.empty(block, dtype=np.intp)

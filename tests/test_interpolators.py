@@ -30,7 +30,7 @@ from reconstruct.interpolators import (
     lagrange_eval,
     spline_eval,
 )
-from reconstruct.kernels import default_gaussian, gaussian_kernel
+from reconstruct.kernels import CACHE_BLOCK_FLOATS, default_gaussian, gaussian_kernel
 
 from conftest import f1d, separated_points
 
@@ -298,9 +298,9 @@ class TestSplineEvalBlocked:
                                                   _bits(vals))
 
     @pytest.mark.parametrize("kind", ["even", "chebyshev", "random"])
-    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1, 2 * 2**15 + 3])
+    @pytest.mark.parametrize("n", [CACHE_BLOCK_FLOATS - 1, CACHE_BLOCK_FLOATS,
+                                   CACHE_BLOCK_FLOATS + 1, 2 * CACHE_BLOCK_FLOATS + 3])
     def test_matches_whole_array_formula_at_real_blocks(self, kind, n):
-        assert interpolators.CACHE_BLOCK_FLOATS == 2**15
         rng = np.random.default_rng(n)
         kn = _spline_knots(kind, 500, 0.0, 1.0, rng)
         coeffs = fit_natural_spline(kn, np.sin(7.0 * kn))
@@ -317,6 +317,14 @@ class TestSplineEvalBlocked:
             got = spline_eval(coeffs, np.array([np.nan, 0.5, -np.nan]))
             assert math.isnan(spline_eval(coeffs, np.nan))
         assert np.isnan(got[0]) and np.isnan(got[2]) and got[1] == spline_eval(coeffs, 0.5)
+
+    def test_knot_span_beyond_the_largest_float(self, rng):
+        # t_(m-1) - t_0 overflows: every guess is interval 0, checked as usual
+        kn = np.array([-1e308, -5e307, 0.0, 5e307, 1e308])
+        coeffs = SplineCoefficients(kn, rng.standard_normal((4, 4)), "natural")
+        x = np.concatenate([kn, np.nextafter(kn, np.inf), 1e308 * rng.uniform(-1, 1, 50),
+                            [np.inf, -np.inf, np.nan]])
+        _assert_same_as_whole_array(coeffs, x)
 
     def test_infinite_queries_match_whole_array_formula(self):
         # t = +-inf makes the end cubic inf or NaN (inf * 0, inf - inf), and
