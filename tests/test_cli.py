@@ -176,7 +176,7 @@ class TestFitPredict:
     ], ids=["tiny-huge-signed-zero", "whole-numbers", "no-rows"])
     def test_prediction_file_is_one_repr_per_row(self, tmp_path, train_csv, monkeypatch,
                                                  values, capsys):
-        path, X, _ = train_csv
+        path, _, _ = train_csv
         out = tmp_path / "model.json"
         assert dispatch(["fit", "--data", str(path), "--method", "krr",
                          "--out", str(out)]) == 0
