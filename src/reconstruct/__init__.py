@@ -61,7 +61,6 @@ from .kernels import (
     matern_kernel,
 )
 from .numerics import (
-    BandedSpdMatrix,
     SpdFactorization,
     banded_spd_solve,
     fdp_hat_trace,

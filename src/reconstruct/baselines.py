@@ -28,7 +28,7 @@ from .estimators import (
 )
 from .interpolators import KnotSet, as_knots, regression_matrix
 from .kernels import KernelSpec, kernel_matrix
-from .numerics import demmler_reinsch, spd_factor
+from .numerics import _normal_factor, demmler_reinsch, spd_factor
 
 @dataclass(frozen=True)
 class VarianceParams:
@@ -140,10 +140,7 @@ def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:
     r = _residual_diag(P) if method == "spgp" else np.zeros(X.shape[0])
     weights = 1.0 / (vp.tau2 * r + vp.sigma2)
     S = P.T @ (weights[:, None] * P) + np.eye(knots.m) / vp.tau2
-    try:
-        facS = spd_factor(0.5 * (S + S.T))
-    except NotPositiveDefinite as exc:
-        raise SingularSystem(str(exc)) from exc
+    facS = _normal_factor(0.5 * (S + S.T))
     v = facS.solve(P.T @ (weights * y))
     return FittedModel(
         interpolator="kernel",
@@ -175,13 +172,17 @@ def fit_empirical_bayes(X, y, A, spec: KernelSpec, vp: VarianceParams) -> Fitted
     return _sparse_gp_fit(X, y, A, spec, vp, "eb")
 
 
-def estimate_variances(X, y, A, spec: KernelSpec, grid_points: int = 20) -> VarianceParams:
+# log-spaced values per variance in the marginal-likelihood grid search
+_VARIANCE_GRID_POINTS = 20
+
+
+def estimate_variances(X, y, A, spec: KernelSpec) -> VarianceParams:
     """Grid search maximizing the sparse-GP marginal likelihood of y.
 
-    Both variances run over ``grid_points`` log-spaced values spanning
-    [1e-4, 1e4] times var(y).  The likelihood depends on the noise-to-
-    signal ratio through one m x m system per distinct ratio, so the
-    400-cell grid costs only 2 * grid_points - 1 such systems.
+    Both variances run over ``_VARIANCE_GRID_POINTS`` log-spaced values
+    spanning [1e-4, 1e4] times var(y).  The likelihood depends on the
+    noise-to-signal ratio through one m x m system per distinct ratio, so
+    the 400-cell grid costs only 2 * 20 - 1 such systems.
     """
     X, y = _as_xy(X, y)
     n = X.shape[0]
@@ -191,7 +192,7 @@ def estimate_variances(X, y, A, spec: KernelSpec, grid_points: int = 20) -> Vari
     knots, _, P = _whitened_cross(X, A, spec)
     m = knots.m
     lam_diag = _residual_diag(P)
-    grid = np.logspace(-4.0, 4.0, grid_points) * vy
+    grid = np.logspace(-4.0, 4.0, _VARIANCE_GRID_POINTS) * vy
     # cache per distinct ratio index difference: rho = grid[i] / grid[j]
     cache: dict[int, tuple[float, float]] = {}
     best = (-math.inf, 0, 0)

@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     NonFiniteInput,
-    NotPositiveDefinite,
     ReconstructError,
     SingularSystem,
 )
@@ -61,6 +60,7 @@ from .kernels import (
 )
 from .numerics import (
     SmootherSpectrum,
+    _normal_factor,
     banded_spd_solve,
     demmler_reinsch,
     fdp_residual_and_trace,
@@ -77,10 +77,6 @@ _GCV_PLATEAU_RTOL = 1e-8
 # Kernel models need no such block: kernels.kernel_matvec works in
 # cache-sized row blocks and never holds a (rows, m) kernel matrix.
 _PREDICT_CHUNK_FLOATS = 2_000_000
-
-
-def default_lambda_grid() -> np.ndarray:
-    return DEFAULT_LAMBDA_GRID.copy()
 
 
 @dataclass(frozen=True)
@@ -658,10 +654,7 @@ class _RateSearch:
             np.exp(np.negative(K[s:e], out=K[s:e]), out=K[s:e])
             np.matmul(K[s:e], V, out=B[s:e])
             B[s:e] += self.GX[s:e] @ Ut
-        try:
-            facB = spd_factor(B.T @ B)
-        except NotPositiveDefinite as exc:
-            raise SingularSystem(str(exc)) from exc
+        facB = _normal_factor(B.T @ B)
         gamma = facB.solve(B.T @ self.y)
         r = self.y - B @ gamma
         self.theta, self.gamma, self.f = theta, gamma, float(r @ r) / self.n

@@ -9,9 +9,11 @@ Two evaluations, for two uses:
 
 * :func:`kernel_matrix` forms every lag as a difference p - q.  Every
   matrix that is factored, eigendecomposed or solved against comes from it
-  (knot correlations, the full-knot R, design matrices, the kernel-rate
-  search): the zero lag is exact, so such a matrix has an exact unit
-  diagonal and is exactly symmetric.
+  (knot correlations, the full-knot R, design matrices) or from the same
+  difference form: the kernel-rate search stores the squared lags
+  (p_l - q_l)**2 once and takes a row block's exponents from one
+  matrix-vector product with the rates.  The zero lag is exact, so such a
+  matrix has an exact unit diagonal and is exactly symmetric.
 * :func:`kernel_matvec` is ``kernel_matrix(spec, P, Q) @ w`` for products
   that only feed a vector, as in prediction.  For the Gaussian family it
   centres both point sets on the mean of Q and scales coordinate l by

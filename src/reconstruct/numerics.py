@@ -6,19 +6,23 @@ Every dense Cholesky factorization in the package goes through
 is attempted with no jitter first, then with 1e-10 and 1e-8 times the
 mean diagonal added to the diagonal.  Solves go through the factor:
 :meth:`SpdFactorization.gls` is the one generalized-least-squares trend
-solve, and the low-rank fits work in coordinates whitened by the knot
-factor, so no inverse of a correlation matrix or of a GLS system is formed.
+solve and :meth:`SpdFactorization.solve` is that solve with no trend, so
+every solve is the same pair of BLAS triangular solves.  The low-rank fits
+work in coordinates whitened by the knot factor, so no inverse of a
+correlation matrix or of a GLS system is formed.  A least-squares normal
+matrix that no jitter level makes factorable raises ``SingularSystem``.
+Banded systems are LAPACK upper band arrays of shape (bandwidth + 1, n).
 
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
 from which its residual and trace at every lambda of a grid follow in
 O(len(d)) each.  The pentadiagonal finite-difference smoother is
 diagonalized the same way, up to one rank-1 term per parity, by the
-discrete cosine transform: one DCT of y (from one real FFT; ``scipy.fft``
-is not imported), then its exact residual and trace in O(n) per lambda,
-accurate to about 1e-15 relative.  They are NaN from n*lam * eps = 1 on
-and, above 1/64 of that, wherever the banded factor of the float system
-fails, so GCV never picks a lambda the fit cannot solve; only those
-lambdas are factored.
+discrete cosine transform: one DCT of y (``scipy.fft``, imported at the
+first such call, so importing the package does not load it), then its
+exact residual and trace in O(n) per lambda, accurate to about 1e-15
+relative.  They are NaN from n*lam * eps = 1 on and, above 1/64 of that,
+wherever the banded factor of the float system fails, so GCV never picks a
+lambda the fit cannot solve; only those lambdas are factored.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import (
     cho_factor,
-    cho_solve,
     cho_solve_banded,
     cholesky_banded,
     eigh,
@@ -51,12 +54,9 @@ class SpdFactorization:
     jitter_applied: float
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs: :meth:`gls` with no trend columns."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.dimension:
-            raise DimensionMismatch(
-                f"rhs has {rhs.shape[0]} rows, factorization is {self.dimension}-dimensional"
-            )
-        return cho_solve((self.factor, True), rhs)
+        return self.gls(np.empty((rhs.shape[0], 0)), rhs)[1]
 
     def logdet(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self.factor))))
@@ -98,6 +98,15 @@ class SpdFactorization:
         return beta, w
 
 
+def _normal_factor(N: np.ndarray) -> SpdFactorization:
+    """:func:`spd_factor` of a least-squares normal matrix; one that fails
+    at every jitter level makes the least-squares problem singular."""
+    try:
+        return spd_factor(N)
+    except NotPositiveDefinite as exc:
+        raise SingularSystem(str(exc)) from exc
+
+
 def spd_factor(A: np.ndarray) -> SpdFactorization:
     """Cholesky-factor a symmetric matrix, escalating jitter as needed."""
     A = np.asarray(A, dtype=float)
@@ -121,32 +130,11 @@ def spd_factor(A: np.ndarray) -> SpdFactorization:
     )
 
 
-@dataclass(frozen=True)
-class BandedSpdMatrix:
-    """Symmetric banded matrix in upper-banded storage.
-
-    ``ab`` has shape (bandwidth + 1, n) in the LAPACK upper form used by
-    :func:`scipy.linalg.solveh_banded`: ``ab[bandwidth - k, j]`` holds the
-    k-th superdiagonal entry ``A[j - k, j]``.
-    """
-
-    dimension: int
-    bandwidth: int
-    ab: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        A = np.zeros((self.dimension, self.dimension))
-        for k in range(self.bandwidth + 1):
-            for j in range(k, self.dimension):
-                v = self.ab[self.bandwidth - k, j]
-                A[j - k, j] = v
-                A[j, j - k] = v
-        return A
-
-
-def fdp_system(n: int, lam: float) -> BandedSpdMatrix:
+def fdp_system(n: int, lam: float) -> np.ndarray:
     """The pentadiagonal system n*lam*M'M + I on an n-point grid, M the
-    (n-2) x n second-difference operator.
+    (n-2) x n second-difference operator, as the (3, n) LAPACK upper band
+    array of :func:`scipy.linalg.cholesky_banded`: ``ab[2 - k, j]`` holds
+    the k-th superdiagonal entry ``A[j - k, j]``.
 
     Each band of M'M is constant away from the two ends, so each row of the
     band storage is one fill and a few end entries.
@@ -163,23 +151,24 @@ def fdp_system(n: int, lam: float) -> BandedSpdMatrix:
     ab[1, 1] = ab[1, -1] = -2.0 * sig
     ab[2, 0] = ab[2, -1] = sig + 1.0
     ab[2, 1] = ab[2, -2] = (4.0 if n == 3 else 5.0) * sig + 1.0
-    return BandedSpdMatrix(dimension=n, bandwidth=2, ab=ab)
+    return ab
 
 
-def banded_spd_solve(M: BandedSpdMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs in O(n) for a banded SPD matrix."""
+def banded_spd_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs in O(n) for a banded SPD matrix A in LAPACK upper
+    band storage ``ab`` of shape (bandwidth + 1, n)."""
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != M.dimension:
+    if rhs.shape[0] != ab.shape[1]:
         raise DimensionMismatch(
-            f"rhs has {rhs.shape[0]} rows but matrix dimension is {M.dimension}"
+            f"rhs has {rhs.shape[0]} rows but matrix dimension is {ab.shape[1]}"
         )
-    return cho_solve_banded((_banded_factor(M), False), rhs)
+    return cho_solve_banded((_banded_factor(ab), False), rhs)
 
 
-def _banded_factor(M: BandedSpdMatrix) -> np.ndarray:
-    """Upper banded Cholesky factor U (U'U = M) in the storage of ``M.ab``."""
+def _banded_factor(ab: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor U (U'U = A) in the storage of ``ab``."""
     try:
-        return cholesky_banded(M.ab)
+        return cholesky_banded(ab)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"banded factorization failed: {exc}") from exc
 
@@ -239,10 +228,7 @@ def demmler_reinsch(B, Sigma, y):
         raise DimensionMismatch(
             f"Sigma has shape {Sigma.shape}, expected ({m}, {m})"
         )
-    try:
-        fac = spd_factor(B.T @ B)
-    except NotPositiveDefinite as exc:
-        raise SingularSystem(str(exc)) from exc
+    fac = _normal_factor(B.T @ B)
     L = fac.factor
     S = solve_triangular(L, solve_triangular(L, Sigma, lower=True).T, lower=True)
     mu, V = eigh(0.5 * (S + S.T))
@@ -275,22 +261,6 @@ def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
     dof = demmler_reinsch(B, Sigma, np.zeros(B.shape[0]))[0].rss_and_dof(lam)[1]
     tr = B.shape[0] - dof
     return tr if np.ndim(lam) else float(tr[0])
-
-
-def _dct(y):
-    """Orthonormal DCT-II of a vector from one real FFT (Makhoul 1980): the
-    FFT of y's even-index entries followed by its odd-index entries
-    reversed, turned by exp(-i pi k / 2n)."""
-    n = y.shape[0]
-    V = np.fft.rfft(np.concatenate([y[0::2], y[-1 - n % 2 :: -2]]))
-    W = V * np.exp(-0.5j * np.pi / n * np.arange(V.shape[0]))
-    m = (n - 1) // 2
-    out = np.empty(n)
-    out[: V.shape[0]] = W.real
-    out[n - m :] = -W.imag[m:0:-1]
-    out *= np.sqrt(2.0 / n)
-    out[0] *= np.sqrt(0.5)
-    return out
 
 
 def fdp_residual_and_trace(y, lam):
@@ -330,6 +300,8 @@ def fdp_residual_and_trace(y, lam):
     6 n*lam + 1 rounds to 6 n*lam.  Lambdas are taken one at a time, so
     each entry of a grid equals a call with that lambda alone.
     """
+    from scipy.fft import dct  # deferred: keeps scipy.fft out of the package import
+
     y = np.asarray(y, dtype=float).ravel()
     n = y.shape[0]
     if n < 3:
@@ -341,7 +313,7 @@ def fdp_residual_and_trace(y, lam):
     l2 = (4.0 * sin * sin) ** 2
     w = 4.0 / n * np.cos(theta) ** 2
     g = 4.0 / np.sqrt(n) * np.sin(2.0 * theta) * sin
-    yc = _dct(y)
+    yc = dct(y, norm="ortho")
     # (l^2, w, g, Cy, l^2 Cy, E) on the even modes k >= 2, then the odd ones
     parities = [
         (l2[p], w[p], g[p], yc[p], l2[p] * yc[p], e)

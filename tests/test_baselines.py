@@ -12,12 +12,33 @@ from reconstruct.baselines import (
     fit_nystrom,
     fit_spgp,
 )
+from reconstruct.benchmarks import _map_indexed
 from reconstruct.errors import DegenerateData
 from reconstruct.estimators import fit_gprr, fit_krr, predict
 from reconstruct.interpolators import KnotSet
 from reconstruct.kernels import default_gaussian, gaussian_kernel
 
 from conftest import separated_points
+
+
+def _nystrom_times_in_m(_config, _index):
+    """Best of five fit_nystrom times at n = 30000 for m = 20 and 40 knots."""
+    rng = np.random.default_rng(1234)  # the rng fixture's seed
+    n = 30000
+    X = rng.random((n, 4))
+    y = rng.normal(size=n)
+    spec = gaussian_kernel(np.full(4, 1.0))
+    knots = {m: KnotSet(X[:m]) for m in (20, 40)}
+    times = {m: np.inf for m in knots}
+    for m, A in knots.items():
+        fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)  # warm
+    # alternate the two sizes so drift in machine speed hits both alike
+    for _ in range(5):
+        for m, A in knots.items():
+            t0 = time.perf_counter()
+            fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)
+            times[m] = min(times[m], time.perf_counter() - t0)
+    return times
 
 
 class TestGpr:
@@ -113,21 +134,10 @@ class TestNystrom:
         # an n^3 path would scale 64x here; the low-rank path is ~linear
         assert times[16000] / times[4000] < 16.0
 
-    def test_cost_scales_in_m(self, rng):
-        n = 30000
-        X = rng.random((n, 4))
-        y = rng.normal(size=n)
-        spec = gaussian_kernel(np.full(4, 1.0))
-        knots = {m: KnotSet(X[:m]) for m in (20, 40)}
-        times = {m: np.inf for m in knots}
-        for m, A in knots.items():
-            fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)  # warm
-        # alternate the two sizes so drift in machine speed hits both alike
-        for _ in range(5):
-            for m, A in knots.items():
-                t0 = time.perf_counter()
-                fit_nystrom(X, y, A, spec, "constant+linear", 1e-3)
-                times[m] = min(times[m], time.perf_counter() - t0)
+    def test_cost_scales_in_m(self):
+        # one spawned worker on one BLAS thread: at two threads a single fit
+        # swings by 3x within one process, more than the ratio measured here
+        times = _map_indexed(_nystrom_times_in_m, None, 1, 1)[0]
         # between linear (2x) and quadratic (4x) growth, with slack
         assert 1.2 < times[40] / times[20] < 6.0
 

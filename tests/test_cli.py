@@ -614,3 +614,19 @@ class TestMoreSurfaces:
         ]) == 0
         sidecar = json.loads((tmp_path / "r.json.timings.json").read_text())
         assert sidecar["jobs"] == 2
+
+
+class TestPackageImport:
+    def test_deferred_scipy_modules_stay_unloaded(self):
+        # scipy.fft, scipy.interpolate and scipy.optimize are imported at the
+        # call that needs them, so the package import does not pay for them
+        src = os.path.dirname(os.path.dirname(reconstruct.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, reconstruct, reconstruct.cli; "
+            "print(' '.join(m for m in ('scipy.fft', 'scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                             check=True, capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == ""

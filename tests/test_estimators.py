@@ -27,10 +27,10 @@ from reconstruct.errors import (
     SingularSystem,
 )
 from reconstruct.estimators import (
+    DEFAULT_LAMBDA_GRID,
     FittedModel,
     _gcv_curve,
     _kriging_spectrum,
-    default_lambda_grid,
     estimate_kernel_params,
     fdp_gcv,
     fit_fdp,
@@ -194,7 +194,7 @@ class TestGprr:
         y = f1d(X[:, 0]) + 0.1 * rng.normal(size=60)
         A = separated_points(rng, 20, 1, min_gap=0.03)
         model = fit_gprr(X, y, A, default_gaussian(1), "constant", "gcv")
-        assert model.lam in default_lambda_grid()
+        assert model.lam in DEFAULT_LAMBDA_GRID
         assert model.diagnostics.gcv is not None
 
     def test_subset_knot_values_match_augmented_qr(self):
@@ -294,7 +294,7 @@ class TestFdp:
         n = 200
         x = np.linspace(0, 1, n)
         y = f1d(x) + 0.3 * rng.normal(size=n)
-        grid = default_lambda_grid()
+        grid = DEFAULT_LAMBDA_GRID
         fit = fit_fdp(y, "gcv")
         mise = lambda g: float(np.trapezoid((np.asarray(g) - f1d(x)) ** 2, x))
         selected = mise(fit.gamma_hat)
@@ -327,7 +327,7 @@ class TestFdp:
         y = np.array([1.0, bad, 2.0, 3.0, bad, 4.0])
         with pytest.raises(NonFiniteInput, match="y has 2 NaN or inf entries"):
             fit_fdp(y, policy)
-        lam = default_lambda_grid() if policy == "gcv" else policy
+        lam = DEFAULT_LAMBDA_GRID if policy == "gcv" else policy
         with pytest.raises(NonFiniteInput, match="y has 2 NaN or inf entries"):
             fdp_gcv(y, lam)
 

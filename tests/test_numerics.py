@@ -3,12 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import cho_solve
 
 from reconstruct import numerics
 from reconstruct.errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
 from reconstruct.estimators import DEFAULT_LAMBDA_GRID
 from reconstruct.numerics import (
-    BandedSpdMatrix,
     banded_spd_solve,
     fdp_hat_trace,
     fdp_system,
@@ -17,6 +17,17 @@ from reconstruct.numerics import (
 )
 
 from conftest import mp_residual_and_trace, random_spd
+
+
+def band_dense(ab):
+    """The dense symmetric matrix of a LAPACK upper band array ``ab``:
+    ``ab[u - k, j]`` holds ``A[j - k, j]`` for bandwidth u."""
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    A = np.zeros((n, n))
+    for k in range(u + 1):
+        for j in range(k, n):
+            A[j - k, j] = A[j, j - k] = ab[u - k, j]
+    return A
 
 
 def second_difference_dense(n):
@@ -49,6 +60,16 @@ class TestSpdSolve:
         rhs = rng.normal(size=(n, 2))
         X = spd_factor(A).solve(rhs)
         assert np.linalg.norm(A @ X - rhs) / np.linalg.norm(rhs) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,)])
+    @pytest.mark.parametrize("n", [1, 9, 40])
+    def test_bitwise_equal_to_cho_solve(self, rng, n, shape):
+        A = random_spd(rng, n)
+        rhs = rng.normal(size=(n, *shape))
+        fac = spd_factor(A)
+        got = fac.solve(rhs)
+        assert got.shape == rhs.shape
+        assert got.tobytes() == cho_solve((fac.factor, True), rhs).tobytes()
 
     def test_jitter_reported(self):
         # an exactly singular PSD matrix needs a nugget to factor
@@ -110,8 +131,7 @@ class TestGls:
 class TestBandedSolve:
     def test_identity(self, rng):
         y = rng.normal(size=9)
-        M = BandedSpdMatrix(dimension=9, bandwidth=0, ab=np.ones((1, 9)))
-        np.testing.assert_allclose(banded_spd_solve(M, y), y, atol=1e-14)
+        np.testing.assert_allclose(banded_spd_solve(np.ones((1, 9)), y), y, atol=1e-14)
 
     def test_lambda_zero_passthrough(self, rng):
         y = rng.normal(size=5)
@@ -130,7 +150,7 @@ class TestBandedSolve:
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 30])
     def test_gram_assembly(self, n):
         M = second_difference_dense(n)
-        np.testing.assert_array_equal(fdp_system(n, 1.0).dense(), np.eye(n) + n * M.T @ M)
+        np.testing.assert_array_equal(band_dense(fdp_system(n, 1.0)), np.eye(n) + n * M.T @ M)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -223,7 +243,7 @@ def exact_trace(n, lam):
     pivoting is needed)."""
     rows = [
         [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(fdp_system(n, lam).dense())
+        for i, row in enumerate(band_dense(fdp_system(n, lam)))
     ]
     for k in range(n):
         pivot = rows[k] = [v / rows[k][k] for v in rows[k]]
