@@ -248,8 +248,10 @@ def _cmd_predict(args):
         model = model_from_json(json.load(fh))
     X, _ = _read_xy(args.data, need_y=False)
     preds = predict(model, X)
+    # one repr per row: str() of a float list is the reprs joined by ", "
+    body = str(preds.tolist())[1:-1].replace(", ", "\n")
     with open(args.out, "w") as fh:
-        fh.write("\n".join(["prediction", *map(repr, preds.tolist())]) + "\n")
+        fh.write(f"prediction\n{body}\n" if body else "prediction\n")
     return 0
 
 

@@ -70,11 +70,63 @@ class KnotSelection(NamedTuple):
     criterion: float
 
 
+def _floyd_subsets(rng, n: int, m: int, rows: int) -> np.ndarray:
+    """`rows` independent uniform m-subsets of range(n), one per row.
+
+    Row t is Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) driven
+    by row t of ``rng.random((rows, m))``: step s draws the candidate
+    floor(u_s (j_s + 1)) from 0..j_s, j_s = n - m + s, and takes j_s itself
+    when the candidate is already in the subset.  Row t of the output holds
+    the subset in draw order.
+
+    The candidate never exceeds j_s: a double u < 1 is at most 1 - 2^-53,
+    and for j + 1 <= 2^53 that takes more than half an ulp off j + 1, so
+    the rounded product u (j + 1) stays below j + 1.
+
+    A row whose candidates are all distinct is final as drawn.  In the
+    other rows, candidate s is already taken exactly when it repeats an
+    earlier candidate of its row, or equals j_k for an earlier step k whose
+    own candidate was taken; that recursion runs over the steps in order,
+    for all such rows at once.
+    """
+    base = n - m
+    idx = (rng.random((rows, m)) * np.arange(base + 1, n + 1)).astype(np.int64)
+    ranked = np.sort(idx, axis=1)
+    dup = np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1))
+    if dup.size == 0:
+        return idx
+    sub = idx[dup]
+    # (candidate, step) pairs packed in one integer and sorted: equal
+    # candidates end up adjacent, the earliest step first
+    shift = m.bit_length()
+    key = sub << shift
+    key |= np.arange(m)
+    key.sort(axis=1)
+    repeat = (key[:, 1:] >> shift) == (key[:, :-1] >> shift)
+    # step-major from here, so that step s of every such row is one array row
+    taken = np.zeros((m, dup.size), dtype=bool)
+    np.put_along_axis(taken.T, key[:, 1:] & ((1 << shift) - 1), repeat, axis=1)
+    sub = sub.T
+    steps = np.arange(m)[:, None]
+    k = sub - base
+    # where taken[s] looks: taken[k] when candidate s is j_k of an earlier step
+    # k, taken[s] itself (no change) otherwise; flat indices into taken
+    link = np.where((k >= 0) & (k < steps), k, steps) * dup.size + np.arange(dup.size)
+    flat = taken.ravel()
+    for s in range(1, m):
+        taken[s] |= flat[link[s]]
+    idx[dup] = np.where(taken, base + steps, sub).T
+    return idx
+
+
 def select_knots(X, m: int, trials: int = DEFAULT_SUBSET_TRIALS, seed=None) -> KnotSelection:
     """Best of `trials` random m-subsets of X under the pairwise criterion.
 
-    The subset stream is drawn sequentially from the seed, so the result is
-    reproducible; the first subset with the smallest criterion wins.
+    The subsets come from one stream of uniforms: trial t takes the m
+    doubles of row t of ``rng.random((trials, m))`` and turns them into a
+    subset by Floyd's algorithm (see `_floyd_subsets`), so the result is
+    reproducible from the seed and does not depend on the block size.  The
+    first subset with the smallest criterion wins.
 
     Most subsets are rejected without the O(m^2 d) criterion.  Each pair's
     score sums positive per-coordinate terms, so the criterion is at least
@@ -84,7 +136,7 @@ def select_knots(X, m: int, trials: int = DEFAULT_SUBSET_TRIALS, seed=None) -> K
     them, so the bound holds exactly in floating point: a subset whose bound
     is not below the best score cannot win, and only the others are scored.
     The bound costs one sort of the m values per coordinate, computed for a
-    block of subsets at once; the per-subset draw is then most of the time.
+    block of subsets at once.
     """
     X = np.asarray(X, dtype=float)
     # a 1-D array is n scalar candidates, as in knot_criterion and as_knots
@@ -105,15 +157,14 @@ def select_knots(X, m: int, trials: int = DEFAULT_SUBSET_TRIALS, seed=None) -> K
     best_idx = None
     best_score = np.inf
     for start in range(0, trials, block):
-        idx = np.empty((min(block, trials - start), m), dtype=np.int64)
-        for t in range(idx.shape[0]):
-            idx[t] = rng.choice(n, size=m, replace=False)
+        idx = _floyd_subsets(rng, n, m, min(block, trials - start))
         idx.sort(axis=1)
         gaps = np.empty((idx.shape[0], d))
         for l in range(d):
             proj = columns[l][idx]
             proj.sort(axis=1)
             gaps[:, l] = np.diff(proj, axis=1).min(axis=1)
+        del proj  # the next block's draw holds two block-sized arrays beside idx
         bound = np.max(1.0 / np.maximum(gaps, _COORD_CLAMP), axis=1)
         for t in np.flatnonzero(bound < best_score):
             if bound[t] < best_score:

@@ -172,8 +172,12 @@ class TestFitPredict:
     @pytest.mark.parametrize("values", [
         [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324],
         [1.0, -2.0, 3e15, 2.0**53, 1e16, 0.1, 1.0 / 3.0],
+        [-1.5],
+        (np.random.default_rng(8).standard_normal(500)
+         * 10.0 ** np.random.default_rng(9).integers(-320, 300, 500)).tolist(),
         [],
-    ], ids=["tiny-huge-signed-zero", "whole-numbers", "no-rows"])
+    ], ids=["tiny-huge-signed-zero", "whole-numbers", "one-negative", "random-wide-exponents",
+            "no-rows"])
     def test_prediction_file_is_one_repr_per_row(self, tmp_path, train_csv, monkeypatch,
                                                  values, capsys):
         path, _, _ = train_csv

@@ -95,15 +95,66 @@ class TestCriterion:
 
 
 def _select_knots_brute(X, m, trials, seed):
-    """Every subset scored in full: the search select_knots must reproduce."""
+    """Every subset drawn by a sequential Floyd's algorithm, m uniforms per
+    trial, and scored in full: the search select_knots must reproduce."""
+    n = X.shape[0]
     rng = np.random.default_rng(seed)
     best_idx, best_score = None, np.inf
     for _ in range(trials):
-        idx = np.sort(rng.choice(X.shape[0], size=m, replace=False))
+        chosen = set()
+        for s, u in enumerate(rng.random(m).tolist()):
+            j = n - m + s
+            t = int(u * (j + 1))
+            chosen.add(j if t in chosen else t)
+        idx = np.array(sorted(chosen), dtype=np.int64)
         score = knot_criterion(X[idx])
         if score < best_score:
             best_score, best_idx = score, idx
     return best_idx, best_score
+
+
+class TestFloydSubsets:
+    @pytest.mark.parametrize("n", [2, 3, 10, 97])
+    @pytest.mark.parametrize("full", [False, True], ids=["m=2", "m=n"])
+    def test_rows_are_distinct_indices_in_range(self, n, full):
+        m = n if full else 2
+        idx = designs._floyd_subsets(np.random.default_rng(n), n, m, 2000)
+        assert idx.shape == (2000, m) and idx.dtype == np.int64
+        assert idx.min() >= 0 and idx.max() < n
+        srt = np.sort(idx, axis=1)
+        assert np.all(srt[:, 1:] > srt[:, :-1])
+
+    def test_every_subset_equally_likely(self):
+        # 20 subsets of 3 from 6; 43.82 is the 0.999 quantile of chi-square(19)
+        rows = 100_000
+        idx = np.sort(designs._floyd_subsets(np.random.default_rng(17), 6, 3, rows), axis=1)
+        _, counts = np.unique(idx, axis=0, return_counts=True)
+        assert counts.size == 20
+        expect = rows / 20
+        assert np.sum((counts - expect) ** 2 / expect) < 43.82
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_generator_seed_advances_by_one_uniform_per_knot(self, rng, block):
+        X = rng.random((30, 2))
+        gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+        block_bytes = designs._SEARCH_BLOCK_BYTES if block is None else block * 8 * 6 * 2
+        with mock.patch.object(designs, "_SEARCH_BLOCK_BYTES", block_bytes):
+            select_knots(X, 6, trials=40, seed=gen)
+        twin.random((40, 6))
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_largest_uniform_times_j_plus_one_floors_to_j(self):
+        # floor(u (j + 1)) <= j for the largest double u < 1, up to j + 1 = 2^53
+        j = np.concatenate([np.arange(100), 2 ** np.arange(1, 54) - 1, 2 ** np.arange(1, 53),
+                            np.random.default_rng(3).integers(0, 2**53, 1000)])
+        assert np.all(np.floor(np.nextafter(1.0, 0.0) * (j + 1).astype(float)) == j)
+
+    @pytest.mark.parametrize("n", [2, 7, 9000, 2**52, 2**53 - 1])
+    def test_largest_uniform_draws_each_step_s_top_index(self, n):
+        stub = mock.Mock()
+        stub.random = lambda shape: np.full(shape, np.nextafter(1.0, 0.0))
+        idx = designs._floyd_subsets(stub, n, 2, 3)
+        np.testing.assert_array_equal(idx, [[n - 2, n - 1]] * 3)
 
 
 class TestSelectKnots:
