@@ -80,8 +80,10 @@ def _floyd_subsets(rng, n: int, m: int, rows: int) -> np.ndarray:
     the subset in draw order.
 
     The candidate never exceeds j_s: a double u < 1 is at most 1 - 2^-53,
-    and for j + 1 <= 2^53 that takes more than half an ulp off j + 1, so
-    the rounded product u (j + 1) stays below j + 1.
+    which takes (j + 1) 2^-53 off j + 1.  For j + 1 <= 2^53 that is more
+    than half the spacing of the doubles just below j + 1, or exactly that
+    spacing when j + 1 is a power of two, so the rounded product u (j + 1)
+    stays below j + 1.
 
     A row whose candidates are all distinct is final as drawn.  In the
     other rows, candidate s is already taken exactly when it repeats an
@@ -98,7 +100,7 @@ def _floyd_subsets(rng, n: int, m: int, rows: int) -> np.ndarray:
     sub = idx[dup]
     # (candidate, step) pairs packed in one integer and sorted: equal
     # candidates end up adjacent, the earliest step first
-    shift = m.bit_length()
+    shift = int(m).bit_length()
     key = sub << shift
     key |= np.arange(m)
     key.sort(axis=1)

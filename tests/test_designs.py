@@ -150,7 +150,7 @@ class TestFloydSubsets:
         assert np.all(np.floor(np.nextafter(1.0, 0.0) * (j + 1).astype(float)) == j)
 
     @pytest.mark.parametrize("n", [2, 7, 9000, 2**52, 2**53 - 1])
-    def test_largest_uniform_draws_each_step_s_top_index(self, n):
+    def test_largest_uniform_draws_the_top_indices(self, n):
         stub = mock.Mock()
         stub.random = lambda shape: np.full(shape, np.nextafter(1.0, 0.0))
         idx = designs._floyd_subsets(stub, n, 2, 3)
@@ -178,6 +178,12 @@ class TestSelectKnots:
         X = rng.random((60, 2))
         a = select_knots(X, 8, trials=200, seed=42)
         b = select_knots(X, 8, trials=200, seed=42)
+        np.testing.assert_array_equal(a.indices, b.indices)
+
+    def test_numpy_integer_sizes(self, rng):
+        X = rng.random((60, 2))
+        a = select_knots(X, np.int64(8), trials=np.int64(50), seed=42)
+        b = select_knots(X, 8, trials=50, seed=42)
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_more_trials_help(self):
