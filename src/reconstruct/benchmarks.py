@@ -277,7 +277,7 @@ class BenchmarkReport:
 
 def _mean_sd(values) -> dict:
     arr = np.asarray(values, dtype=float)
-    out = {"mean": float(np.mean(arr)) if arr.size else math.nan}
+    out = {"mean": float(np.mean(arr)) if arr.size else None}
     out["sd"] = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
     out["count"] = int(arr.size)
     return out
@@ -288,66 +288,91 @@ def _failure(exc) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _attempt(rec, method, fit, Xtest, truth):
+    """Run ``fit()`` and record the model's test error under ``method`` in
+    ``rec["mse"]``, or its failure in ``rec["failed"]``; returns the model,
+    or None when the fit or its evaluation failed."""
+    try:
+        model = fit()
+        rec["mse"][method] = evaluate(model, Xtest, truth)
+        return model
+    except Exception as exc:  # noqa: BLE001 - failures are reported, not fatal
+        rec["failed"][method] = _failure(exc)
+        return None
+
+
+def _start(config, methods=None):
+    """The seed check every driver begins with, and the method check of a
+    study with a fixed method set; returns the start time."""
+    if config.seed is None:
+        raise ValueError("a seed is required")
+    bad = set(config.methods) - set(methods or config.methods)
+    if bad:
+        raise ValueError(f"unsupported methods {sorted(bad)}")
+    return time.perf_counter()
+
+
+def _report(kind, config, t0, per_run, summary, **fields) -> BenchmarkReport:
+    """The one place a report is built: the config, seed and elapsed time
+    since ``t0`` come from the driver's ``config`` and start."""
+    timings = {"total_s": time.perf_counter() - t0}
+    return BenchmarkReport(kind, config.to_dict(), per_run, summary, config.seed,
+                           timings=timings, **fields)
+
+
+def _mse_stats(runs, methods) -> dict:
+    """:func:`_mean_sd` of each method's test errors over the runs it fitted."""
+    return {m: _mean_sd([r["mse"][m] for r in runs if m in r["mse"]]) for m in methods}
+
+
+def _errors(runs, *keys) -> list:
+    """Every failure recorded in ``runs``, tagged with each run's ``keys``."""
+    return [{**{k: r[k] for k in keys}, "method": method, "error": msg}
+            for r in runs for method, msg in r["failed"].items()]
+
+
+def _draw(cfg: ExperimentConfig, index: int):
+    """Repetition ``index`` of a simulation study: the training set, the
+    test points, the noiseless truth at them, and a third seed stream for
+    the driver's own draws (Table 3's knot subsets).  The streams are the
+    first three children of the repetition's spawn point."""
+    root = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)[index]
+    train_ss, test_ss, extra_ss = root.spawn(3)
+    train = simulate(cfg.function, cfg.n, cfg.d, cfg.sigma, train_ss, cfg.ackley_standard)
+    Xtest = np.random.default_rng(test_ss).random((cfg.test_size, train.X.shape[1]))
+    return train, Xtest, test_function(cfg.function, Xtest, cfg.ackley_standard), extra_ss
+
+
 # ---------------------------------------------------------------------------
 # Table-1 style comparison (all knots at the data)
 # ---------------------------------------------------------------------------
 
+_TABLE1_FITS = {
+    "krr": lambda X, y, spec, grid: fit_krr(X, y, spec, "gcv", grid),
+    "gpr": lambda X, y, spec, grid: fit_gpr(X, y, spec, "constant+linear", "gcv", grid),
+    "gprr": lambda X, y, spec, grid: fit_gprr(X, y, None, spec, "constant+linear", "gcv", grid),
+}
+
 
 def _table1_rep(cfg: ExperimentConfig, rep: int) -> dict:
-    root = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)[rep]
-    train_ss, test_ss = root.spawn(2)
-    train = simulate(cfg.function, cfg.n, cfg.d, cfg.sigma, train_ss, cfg.ackley_standard)
-    rng_test = np.random.default_rng(test_ss)
-    Xtest = rng_test.random((cfg.test_size, train.X.shape[1]))
-    truth = test_function(cfg.function, Xtest, cfg.ackley_standard)
+    train, Xtest, truth, _ = _draw(cfg, rep)
     spec = gaussian_kernel(np.full(train.X.shape[1], cfg.theta))
     grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
     out = {"rep": rep, "mse": {}, "lambda": {}, "failed": {}}
     for method in cfg.methods:
-        try:
-            if method == "krr":
-                model = fit_krr(train.X, train.y, spec, "gcv", grid)
-            elif method == "gpr":
-                model = fit_gpr(train.X, train.y, spec, "constant+linear", "gcv", grid)
-            elif method == "gprr":
-                model = fit_gprr(
-                    train.X, train.y, None, spec, "constant+linear", "gcv", grid
-                )
-            else:
-                raise ValueError(f"unknown method {method!r} for this study")
-            out["mse"][method] = evaluate(model, Xtest, truth)
+        fit = _TABLE1_FITS[method]
+        model = _attempt(out, method, lambda: fit(train.X, train.y, spec, grid), Xtest, truth)
+        if model is not None:
             out["lambda"][method] = float(model.lam)
-        except Exception as exc:  # noqa: BLE001 - failures are reported, not fatal
-            out["failed"][method] = _failure(exc)
     return out
 
 
 def run_table1(config: ExperimentConfig) -> BenchmarkReport:
     """Full-knot comparison of kernel ridge, kriging, and reconstruction fits."""
-    if config.seed is None:
-        raise ValueError("a seed is required")
-    bad = set(config.methods) - {"krr", "gpr", "gprr"}
-    if bad:
-        raise ValueError(f"unsupported methods {sorted(bad)}")
-    t0 = time.perf_counter()
+    t0 = _start(config, _TABLE1_FITS)
     per_run = _map_indexed(_table1_rep, config, config.repetitions, config.jobs)
-    summary = {}
-    errors = []
-    for method in config.methods:
-        vals = [r["mse"][method] for r in per_run if method in r["mse"]]
-        summary[method] = _mean_sd(vals)
-    for r in per_run:
-        for method, msg in r["failed"].items():
-            errors.append({"rep": r["rep"], "method": method, "error": msg})
-    return BenchmarkReport(
-        kind="table1",
-        config=config.to_dict(),
-        per_run=per_run,
-        summary=summary,
-        seed=config.seed,
-        errors=errors,
-        timings={"total_s": time.perf_counter() - t0},
-    )
+    summary = _mse_stats(per_run, config.methods)
+    return _report("table1", config, t0, per_run, summary, errors=_errors(per_run, "rep"))
 
 
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -378,6 +403,12 @@ def _map_indexed(fn, config, count, jobs):
 # ---------------------------------------------------------------------------
 
 
+def _rate_search(X, y, A, cfg: ExperimentConfig, theta0):
+    """The subset-knot studies' kernel-rate search, stopped by ``cfg``."""
+    return estimate_kernel_params(X, y, A, "constant+linear", theta0,
+                                  max_iter=cfg.bcd_max_iter, tol=cfg.bcd_tol)
+
+
 def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
     """One knot set of the subset-knot comparisons (Table 3, power plant).
 
@@ -390,11 +421,8 @@ def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
     ("mse"), failures ("failed"), rates ("theta") and SPGP's "variances".
     """
     rec = {"mse": {}, "failed": {}}
-    theta0 = np.full(X.shape[1], cfg.theta)
     try:
-        kp = estimate_kernel_params(
-            X, y, A, "constant+linear", theta0, max_iter=cfg.bcd_max_iter, tol=cfg.bcd_tol,
-        )
+        kp = _rate_search(X, y, A, cfg, np.full(X.shape[1], cfg.theta))
         rec["theta"] = [float(t) for t in kp.theta]
         if Xtest is None:
             return kp, rec
@@ -405,28 +433,22 @@ def _compare_on_knots(X, y, A, cfg: ExperimentConfig, methods, Xtest, truth):
     spec = kp.model.kernel
     grid = None if cfg.lambda_grid is None else np.asarray(cfg.lambda_grid, dtype=float)
     if "nystrom" in methods:
-        try:
-            mod = fit_nystrom(X, y, A, spec, "constant+linear", "gcv", grid)
-            rec["mse"]["nystrom"] = evaluate(mod, Xtest, truth)
-        except Exception as exc:  # noqa: BLE001
-            rec["failed"]["nystrom"] = _failure(exc)
+        nystrom = lambda: fit_nystrom(X, y, A, spec, "constant+linear", "gcv", grid)  # noqa: E731
+        _attempt(rec, "nystrom", nystrom, Xtest, truth)
     if "spgp" in methods:
-        try:
+
+        def spgp():
             vp = estimate_variances(X, y, A, spec)
-            rec["mse"]["spgp"] = evaluate(fit_spgp(X, y, A, spec, vp), Xtest, truth)
+            model = fit_spgp(X, y, A, spec, vp)
             rec["variances"] = {"tau2": vp.tau2, "sigma2": vp.sigma2}
-        except Exception as exc:  # noqa: BLE001
-            rec["failed"]["spgp"] = _failure(exc)
+            return model
+
+        _attempt(rec, "spgp", spgp, Xtest, truth)
     return kp, rec
 
 
 def _table3_outer(cfg: ExperimentConfig, outer: int) -> dict:
-    root = np.random.SeedSequence(cfg.seed).spawn(cfg.repetitions)[outer]
-    train_ss, test_ss, subset_ss = root.spawn(3)
-    train = simulate(cfg.function, cfg.n, cfg.d, cfg.sigma, train_ss)
-    rng_test = np.random.default_rng(test_ss)
-    Xtest = rng_test.random((cfg.test_size, train.X.shape[1]))
-    truth = test_function(cfg.function, Xtest)
+    train, Xtest, truth, subset_ss = _draw(cfg, outer)
     rng_subset = np.random.default_rng(subset_ss)
     m = cfg.m or default_knot_count(train.X.shape[1])
     inner_runs = []
@@ -436,52 +458,29 @@ def _table3_outer(cfg: ExperimentConfig, outer: int) -> dict:
             train.X, train.y, KnotSet(train.X[idx]), cfg, cfg.methods, Xtest, truth
         )
         inner_runs.append({"inner": inner, "indices": idx.tolist(), **rec})
-    out = {"outer": outer, "inner": inner_runs, "mean": {}, "sd": {}}
-    for method in cfg.methods:
-        vals = [r["mse"][method] for r in inner_runs if method in r["mse"]]
-        if vals:
-            stats = _mean_sd(vals)
-            out["mean"][method] = stats["mean"]
-            out["sd"][method] = stats["sd"]
-    return out
+    stats = {m: s for m, s in _mse_stats(inner_runs, cfg.methods).items() if s["count"]}
+    return {"outer": outer, "inner": inner_runs, "mean": {m: s["mean"] for m, s in stats.items()},
+            "sd": {m: s["sd"] for m, s in stats.items()}}
 
 
 def run_table3(config: ExperimentConfig) -> BenchmarkReport:
     """Subset-knot comparison: average test error and its spread over
     random knot subsets, then averaged over fresh data draws."""
-    if config.seed is None:
-        raise ValueError("a seed is required")
-    bad = set(config.methods) - {"nystrom", "spgp", "gprr"}
-    if bad:
-        raise ValueError(f"unsupported methods {sorted(bad)}")
-    t0 = time.perf_counter()
+    t0 = _start(config, ("nystrom", "spgp", "gprr"))
     outers = _map_indexed(_table3_outer, config, config.repetitions, config.jobs)
     summary = {}
     for method in config.methods:
         means = [o["mean"][method] for o in outers if method in o["mean"]]
         sds = [o["sd"][method] for o in outers if method in o["sd"]]
         summary[method] = {
-            "mmse": float(np.mean(means)) if means else math.nan,
-            "mstd": float(np.mean(sds)) if sds else math.nan,
+            "mmse": float(np.mean(means)) if means else None,
+            "mstd": float(np.mean(sds)) if sds else None,
             "outer_means": [float(v) for v in means],
         }
-    errors = [
-        {"outer": o["outer"], "inner": r["inner"], "method": meth, "error": msg}
-        for o in outers
-        for r in o["inner"]
-        for meth, msg in r["failed"].items()
-    ]
+    errors = _errors([dict(r, outer=o["outer"]) for o in outers for r in o["inner"]],
+                     "outer", "inner")
     knots = [[r["indices"] for r in o["inner"]] for o in outers]
-    return BenchmarkReport(
-        kind="table3",
-        config=config.to_dict(),
-        per_run=outers,
-        summary=summary,
-        seed=config.seed,
-        knots=knots,
-        errors=errors,
-        timings={"total_s": time.perf_counter() - t0},
-    )
+    return _report("table3", config, t0, outers, summary, knots=knots, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +491,9 @@ def run_table3(config: ExperimentConfig) -> BenchmarkReport:
 def run_replication_study(config: ExperimentConfig) -> BenchmarkReport:
     """Replication designs with polynomial and spline reconstruction on the
     oscillating 1-D target, across a noise grid."""
-    if config.seed is None:
-        raise ValueError("a seed is required")
-    t0 = time.perf_counter()
+    t0 = _start(config)
     sigma_grid = config.sigma_grid or [0.05, 0.15, 0.25, 0.35, 0.45, 0.55]
     m = config.m or 7
-    l = m
     per_run = []
     children = np.random.SeedSequence(config.seed).spawn(len(sigma_grid))
     for s_idx, sigma in enumerate(sigma_grid):
@@ -509,8 +505,9 @@ def run_replication_study(config: ExperimentConfig) -> BenchmarkReport:
                 ("lagrange", chebyshev_knots(m)),
                 ("spline", equispaced_knots(m)),
             ):
-                design = replication_design(knots, l)
-                fvals = np.repeat(test_function("f1d", knots), l)
+                # m replicates at each of the m knots
+                design = replication_design(knots, m)
+                fvals = np.repeat(test_function("f1d", knots), m)
                 yv = fvals + sigma * _normal_from_uniform(rng, design.n)
                 model = fit_replication(design, yv, method)
                 rec["mise"][method] = mise_1d(
@@ -525,14 +522,7 @@ def run_replication_study(config: ExperimentConfig) -> BenchmarkReport:
             )
             for s in sigma_grid
         }
-    return BenchmarkReport(
-        kind="replication",
-        config=config.to_dict(),
-        per_run=per_run,
-        summary=summary,
-        seed=config.seed,
-        timings={"total_s": time.perf_counter() - t0},
-    )
+    return _report("replication", config, t0, per_run, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +574,9 @@ def load_ccpp(path) -> Dataset:
 def run_ccpp(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
     """Knot selection, the three-method comparison, then sequential
     knot addition tracked by GCV and test error."""
-    if config.seed is None:
-        raise ValueError("a seed is required")
-    t0 = time.perf_counter()
+    t0 = _start(config)
     X, y = dataset.X, dataset.y
-    n, d = X.shape
-    m0 = config.m or default_knot_count(d)
+    m0 = config.m or default_knot_count(X.shape[1])
     select_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     selection = select_knots(X, m0, trials=config.trials, seed=select_rng)
     test_pair = (dataset.Xtest, dataset.ytest)
@@ -597,53 +584,27 @@ def run_ccpp(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
     if kp is None:
         raise ReconstructError(f"kernel-rate search failed: {rec['failed']['gprr']}")
     trajectory, indices = _sequential_knots(X, y, selection.indices, kp, config, test_pair)
-    return BenchmarkReport(
-        kind="ccpp",
-        config=config.to_dict(),
-        per_run=trajectory,
-        summary={
-            "initial_test_errors": rec["mse"],
-            "final_gcv": trajectory[-1]["gcv"],
-            "initial_gcv": trajectory[0]["gcv"],
-        },
-        seed=config.seed,
-        knots=[int(i) for i in indices],
-        errors=[{"method": meth, "error": msg} for meth, msg in rec["failed"].items()],
-        timings={"total_s": time.perf_counter() - t0},
-    )
-
-
-def _gcv_at_zero_penalty(rss_over_n: float, n: int, m: int) -> float:
-    """GCV of the unpenalized m-knot fit, whose smoother has trace m."""
-    return float(_gcv_curve(n, rss_over_n * n, n - m))
+    summary = {
+        "initial_test_errors": rec["mse"],
+        "final_gcv": trajectory[-1]["gcv"],
+        "initial_gcv": trajectory[0]["gcv"],
+    }
+    return _report("ccpp", config, t0, trajectory, summary,
+                   knots=[int(i) for i in indices], errors=_errors([rec]))
 
 
 def _sequential_knots(X, y, indices, kp, config, test_pair):
     """Grow the knot set one residual-argmax point at a time."""
     n = X.shape[0]
-    indices = list(int(i) for i in indices)
-    model = kp.model
-    theta = kp.theta
-    rss_over_n = kp.objective_trace[-1]
-    trajectory = [
-        _traj_record(0, len(indices), rss_over_n, n, model, test_pair, None)
-    ]
+    indices = [int(i) for i in indices]
+    trajectory = [_traj_record(0, kp, n, test_pair, None)]
     stall = 0
     for it in range(1, config.iterations + 1):
-        preds = predict(model, X)
-        new_idx = next_knot(X, model.knots, y, predictions=preds,
+        new_idx = next_knot(X, kp.model.knots, y, predictions=predict(kp.model, X),
                             exclude_indices=indices)
         indices.append(int(new_idx))
-        A = KnotSet(X[np.asarray(indices)])
-        kp = estimate_kernel_params(
-            X, y, A, "constant+linear", theta,
-            max_iter=config.bcd_max_iter, tol=config.bcd_tol,
-        )
-        model, theta = kp.model, kp.theta
-        rss_over_n = kp.objective_trace[-1]
-        trajectory.append(
-            _traj_record(it, len(indices), rss_over_n, n, model, test_pair, new_idx)
-        )
+        kp = _rate_search(X, y, KnotSet(X[np.asarray(indices)]), config, kp.theta)
+        trajectory.append(_traj_record(it, kp, n, test_pair, new_idx))
         prev, cur = (math.inf if t["gcv"] is None else t["gcv"] for t in trajectory[-2:])
         stall = stall + 1 if cur > prev * (1.0 - 1e-3) else 0
         if stall >= 3:
@@ -651,8 +612,10 @@ def _sequential_knots(X, y, indices, kp, config, test_pair):
     return trajectory, indices
 
 
-def _traj_record(it, m, rss_over_n, n, model, test_pair, added):
-    gcv = _gcv_at_zero_penalty(rss_over_n, n, m)
+def _traj_record(it, kp, n, test_pair, added):
+    m = kp.model.knots.m
+    # GCV of the unpenalized m-knot fit, whose smoother has trace m
+    gcv = float(_gcv_curve(n, kp.objective_trace[-1] * n, n - m))
     rec = {
         "iteration": it,
         "m": int(m),
@@ -660,6 +623,5 @@ def _traj_record(it, m, rss_over_n, n, model, test_pair, added):
         "added_index": added,
     }
     if test_pair[0] is not None:
-        rec["test_error"] = evaluate(model, *test_pair)
+        rec["test_error"] = evaluate(kp.model, *test_pair)
     return rec
-

@@ -67,9 +67,10 @@ def _read_xy(path, need_y=True):
 
 
 def _write_json(path, obj):
+    # strict JSON: a NaN or inf raises here, before the file is opened
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_report(path, report: BenchmarkReport):
@@ -88,6 +89,20 @@ def _parse_lambda(text):
         return float(text)
     except ValueError as exc:
         raise _UsageError(f"bad --lambda value {text!r}") from exc
+
+
+def _parse_grid(text):
+    """A --grid value LO,HI,COUNT: COUNT log-spaced lambdas from LO to HI."""
+    try:
+        lo, hi, count = text.split(",")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise _UsageError(f"--grid takes LO,HI,COUNT, not {text!r}") from None
+    if not (0.0 < lo < np.inf and 0.0 < hi < np.inf):
+        raise _UsageError(f"--grid bounds must be positive and finite, not {lo!r} and {hi!r}")
+    if count < 1:
+        raise _UsageError(f"--grid COUNT must be at least 1, not {count}")
+    return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def _kernel_from_args(args, d):
@@ -258,11 +273,7 @@ def _cmd_predict(args):
 def _cmd_gcv_scan(args):
     X, y = _read_xy(args.data)
     n, d = X.shape
-    if args.grid:
-        lo, hi, count = args.grid.split(",")
-        grid = np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(count))
-    else:
-        grid = DEFAULT_LAMBDA_GRID
+    grid = DEFAULT_LAMBDA_GRID if args.grid is None else _parse_grid(args.grid)
     if args.method == "fdp":
         if d != 1:
             raise ReconstructError("the finite-difference scan expects 1-D data")

@@ -196,11 +196,19 @@ def model_from_json(obj: dict) -> FittedModel:
         raise BadSchema(
             f"model field 'interpolator' is {interpolator!r}; expected one of {_INTERPOLATORS}"
         )
-    try:
-        knots = KnotSet(np.asarray(obj["knots"], dtype=float))
-    except (ValueError, ReconstructError) as exc:
-        raise BadSchema(f"model field 'knots': {exc}") from exc
-    kernel = None if obj.get("kernel") is None else spec_from_json(obj["kernel"])
+
+    def read(name, convert):
+        # a missing field, or one that convert rejects, is named
+        if name not in obj:
+            raise BadSchema(f"model field {name!r} is missing")
+        try:
+            return convert(obj[name])
+        except (LookupError, TypeError, ValueError, AttributeError, ReconstructError) as exc:
+            detail = f"no {exc}" if isinstance(exc, KeyError) else exc
+            raise BadSchema(f"model field {name!r}: {detail}") from exc
+
+    knots = read("knots", lambda v: KnotSet(np.asarray(v, dtype=float)))
+    kernel = None if obj.get("kernel") is None else read("kernel", spec_from_json)
     if kernel is not None and kernel.d not in (None, knots.d):
         raise BadSchema(f"model field 'kernel' has {kernel.d} rates, knots have {knots.d} coordinates")
     g_kind = obj.get("g_kind")
@@ -234,7 +242,7 @@ def model_from_json(obj: dict) -> FittedModel:
         interpolator=interpolator,
         knots=knots,
         gamma_hat=gamma_hat,
-        lam=float(obj["lambda"]),
+        lam=read("lambda", float),
         kernel=kernel,
         g_kind=g_kind,
         beta=arr("beta", q),
@@ -280,10 +288,14 @@ def _lambda_plan(lambda_policy, grid, n, m=None):
       grid fixes lambda to its point without evaluating the criterion;
     * "auto" is lambda = 0 when at most n/5 knot values are estimated and
       "gcv" otherwise, so it is "gcv" for every fit with n knot values;
-    * any other string raises ``ValueError``.
+    * any other string raises ``ValueError``, and so does a negative or
+      non-finite lambda or grid entry.
     """
     if not isinstance(lambda_policy, str):
-        return float(lambda_policy), None
+        lam = float(lambda_policy)
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lambda must be nonnegative and finite, not {lam!r}")
+        return lam, None
     if lambda_policy == "auto":
         lambda_policy = "none" if (n if m is None else m) <= n / 5 else "gcv"
     if lambda_policy == "none":
@@ -295,6 +307,10 @@ def _lambda_plan(lambda_policy, grid, n, m=None):
     grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    bad = grid[~((grid >= 0.0) & (grid < math.inf))]
+    if bad.size:
+        entry = float(bad[0])
+        raise ValueError(f"lambda grid entries must be nonnegative and finite, not {entry!r}")
     if grid.size == 1:
         return float(grid[0]), None
     return None, grid

@@ -178,6 +178,20 @@ class TestTable1:
         with pytest.raises(ValueError):
             run_table1(ExperimentConfig(seed=1, methods=("spgp",)))
 
+    def test_method_failing_everywhere_reports_null_mean(self):
+        # a negative lambda is rejected by every fit
+        cfg = ExperimentConfig(function="I", d=2, n=30, repetitions=2, test_size=20, seed=2,
+                               lambda_grid=[-1.0])
+        payload = _strict(run_table1(cfg))
+        assert len(payload["errors"]) == 2 * len(cfg.methods)
+        for method in cfg.methods:
+            assert payload["summary"][method] == {"mean": None, "sd": 0.0, "count": 0}
+
+
+def _strict(report) -> dict:
+    """A report's payload through a JSON round trip that rejects NaN and inf."""
+    return json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+
 
 class TestTable3:
     def test_smoke_small_scale(self):
@@ -212,6 +226,32 @@ class TestTable3:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+    def test_method_failing_everywhere_reports_null(self):
+        # a one-point grid at zero fixes lambda = 0, which Nystrom cannot fit
+        cfg = ExperimentConfig(
+            function="borehole", d=8, n=120, m=12, methods=("nystrom", "gprr"),
+            repetitions=2, inner_draws=1, test_size=50, seed=9, bcd_max_iter=1,
+            lambda_grid=[0.0],
+        )
+        payload = _strict(run_table3(cfg))
+        assert payload["summary"]["nystrom"] == {"mmse": None, "mstd": None, "outer_means": []}
+        assert math.isfinite(payload["summary"]["gprr"]["mmse"])
+        assert [e["method"] for e in payload["errors"]] == ["nystrom", "nystrom"]
+
+    def test_ackley_standard_reaches_data_and_truth(self):
+        reports = []
+        for standard in (False, True):
+            cfg = ExperimentConfig(
+                function="II", d=2, n=80, m=10, sigma=0.1, methods=("gprr",), repetitions=1,
+                inner_draws=1, test_size=50, seed=3, bcd_max_iter=1, ackley_standard=standard,
+            )
+            reports.append(run_table3(cfg))
+        printed, standard = (r.per_run[0]["inner"][0] for r in reports)
+        # the same knot subset, fitted to different responses
+        assert printed["indices"] == standard["indices"]
+        assert printed["mse"]["gprr"] != standard["mse"]["gprr"]
+        assert printed["theta"] != standard["theta"]
 
 
 class TestReplicationStudy:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reconstruct
-from reconstruct.cli import _read_xy, dispatch
+from reconstruct.cli import _read_xy, _write_json, dispatch
 from reconstruct.designs import select_knots
 from reconstruct.estimators import (
     _gcv_curve,
@@ -363,6 +363,25 @@ class TestScansAndKnots:
         ]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["grid"]) == len(payload["gcv"]) == 9
+
+    @pytest.mark.parametrize("grid", [
+        "1e-8,1e2", "1e-8,1e2,5,7", "1e-8,ten,5", "1e-8,1e2,2.5",
+        "0,1e2,5", "-1e-2,1e2,5", "1e-8,inf,5", "nan,1e2,5", "1e-8,1e2,0",
+    ])
+    def test_bad_grid_is_a_usage_error_naming_it(self, tmp_path, train_csv, capsys, grid):
+        out = tmp_path / "curve.json"
+        assert dispatch([
+            "gcv-scan", "--data", str(train_csv[0]), "--method", "krr",
+            f"--grid={grid}", "--out", str(out),
+        ]) == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_files_are_strict(self, tmp_path):
+        out = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            _write_json(out, {"mse": float("nan")})
+        assert not out.exists()
 
     @pytest.mark.parametrize("method,knot_args,fit_args", [
         ("krr", [], []),

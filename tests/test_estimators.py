@@ -644,6 +644,10 @@ class TestKernelParamEstimation:
         )
 
 
+# a stored-model field value that deletes the field
+_ABSENT = object()
+
+
 class TestPredictAndSerialization:
     def _models(self, rng):
         X = rng.random((25, 2))
@@ -832,11 +836,13 @@ class TestModelJsonSchema:
 
 
     def _stored(self, rng, **changes):
+        """A stored model with ``changes`` applied; a change to ``_ABSENT``
+        deletes the field."""
         X = rng.random((20, 2))
         model = fit_gprr(X, rng.normal(size=20), X[:6], default_gaussian(2), "constant+linear", 0.01)
         doc = model_to_json(model)
         doc.update(changes)
-        return doc
+        return {k: v for k, v in doc.items() if v is not _ABSENT}
 
     @pytest.mark.parametrize("field,value", [
         ("w", [0.1] * 5),
@@ -866,6 +872,12 @@ class TestModelJsonSchema:
         ("knots", [[math.nan, 0.5]] + [[0.1 * i, 0.2] for i in range(1, 6)]),
         ("knots", [[0.1, 0.2]] * 6),
         ("knots", [[0.1, 0.2, 0.3]] + [[0.1 * i, 0.2] for i in range(1, 6)]),
+        ("knots", _ABSENT),
+        ("lambda", _ABSENT),
+        ("lambda", "small"),
+        ("kernel", {"family": "gaussian"}),
+        ("kernel", {"family": "gaussian", "theta": [0.0, 12.5]}),
+        ("kernel", {"family": "gaussian", "theta": [-1.0, 12.5]}),
     ])
     def test_unusable_kernel_model_is_rejected_on_load(self, rng, field, value):
         with pytest.raises(BadSchema, match=f"'{field}'"):
@@ -959,6 +971,18 @@ class TestLambdaPolicy:
     def test_unknown_word_raises(self, tuned_data, name):
         with pytest.raises(ValueError, match="gvc"):
             _TUNED_FITS[name](*tuned_data, "gvc")
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1e-3], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", sorted(_TUNED_FITS))
+    def test_bad_number_raises_naming_it(self, tuned_data, name, lam):
+        with pytest.raises(ValueError, match=f"not {lam!r}$"):
+            _TUNED_FITS[name](*tuned_data, lam)
+
+    @pytest.mark.parametrize("entry", [math.nan, -math.inf, -1e-3])
+    def test_bad_grid_entry_raises_naming_it(self, tuned_data, entry):
+        X, y = tuned_data
+        with pytest.raises(ValueError, match=f"not {entry!r}$"):
+            fit_krr(X, y, _XY_SPEC, "gcv", [1e-3, entry, 1e-1])
 
     def test_auto_is_zero_with_few_knot_values(self, tuned_data):
         X, y = tuned_data
