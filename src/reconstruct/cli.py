@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from . import __version__
 from .baselines import estimate_variances, fit_gpr, fit_nystrom, fit_spgp, fit_empirical_bayes
 from .benchmarks import (
     BenchmarkReport,
+    Dataset,
     ExperimentConfig,
     load_ccpp,
     run_ccpp,
@@ -40,7 +42,7 @@ from .estimators import (
     model_to_json,
     predict,
 )
-from .interpolators import regression_matrix
+from .interpolators import G_KINDS, regression_matrix
 from .kernels import default_gaussian, gaussian_kernel, kernel_matrix
 from .tables import read_table
 
@@ -106,13 +108,49 @@ def _parse_grid(text):
 
 
 def _kernel_from_args(args, d):
-    theta = getattr(args, "theta", None)
-    return default_gaussian(d) if theta is None else gaussian_kernel(np.full(d, float(theta)))
+    return default_gaussian(d) if args.theta is None else gaussian_kernel(np.full(d, args.theta))
 
 
 def _require_seed(args):
     if args.seed is None:
         raise _UsageError("--seed is required for this subcommand")
+
+
+def _reject_m(args):
+    # krr, gpr and fdp fit on every point, so a knot count would be ignored
+    if args.m is not None and args.method in ("krr", "gpr", "fdp"):
+        raise _UsageError(f"--m does not apply to method {args.method}")
+
+
+def _knots(args, X):
+    """The seeded knot search for --m, or None without --m."""
+    if args.m is None:
+        return None
+    _require_seed(args)
+    return select_knots(X, args.m, trials=args.trials, seed=args.seed)
+
+
+# The one definition of each option that several subcommands share.  A
+# bench option's dest is the ExperimentConfig field it sets (see _config).
+_OPTIONS = {
+    "--data": dict(required=True),
+    "--out": dict(required=True),
+    "--seed": dict(type=int, default=None),
+    "--trials": dict(type=int, default=DEFAULT_SUBSET_TRIALS),
+    "--m": dict(type=int, default=None, help="knot count (subset of the data)"),
+    "--theta": dict(type=float, default=None, help="Gaussian kernel rate (all coordinates)"),
+    "--g": dict(default="constant+linear", choices=G_KINDS),
+    "--iterations": dict(type=int, default=15),
+    "--reps": dict(type=int, default=20, dest="repetitions"),
+    "--N": dict(type=int, default=2000, dest="test_size"),
+    # None: read RECONSTRUCT_JOBS when the command runs (_jobs)
+    "--jobs": dict(type=int, default=None),
+}
+
+
+def _add(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def _build_parser():
@@ -121,96 +159,70 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a model to a CSV of x1..xd,y")
-    fit.add_argument("--data", required=True)
+    fit.set_defaults(run=_cmd_fit)
     fit.add_argument("--method", default="gprr",
                      choices=["gprr", "krr", "gpr", "nystrom", "spgp", "eb"])
-    fit.add_argument("--m", type=int, default=None, help="knot count (subset of the data)")
-    fit.add_argument("--theta", type=float, default=None, help="Gaussian kernel rate (all coordinates)")
     fit.add_argument("--estimate-theta", action="store_true",
                      help="choose the Gaussian rates by least squares on the knots "
                           "(one per coordinate, in [1e-2, 1e3]) instead of --theta; "
                           "needs --m, and not for krr or gpr")
-    fit.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
     fit.add_argument("--lambda", dest="lam", default="auto", help="gcv | auto | none | value")
-    fit.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
-    fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--out", required=True)
+    _add(fit, "--data", "--m", "--theta", "--g", "--trials", "--seed", "--out")
 
     pred = sub.add_parser("predict", help="evaluate a stored model on points")
+    pred.set_defaults(run=_cmd_predict)
     pred.add_argument("--model", required=True)
-    pred.add_argument("--data", required=True)
-    pred.add_argument("--out", required=True)
+    _add(pred, "--data", "--out")
 
     scan = sub.add_parser("gcv-scan", help="tuning-parameter profile")
-    scan.add_argument("--data", required=True)
+    scan.set_defaults(run=_cmd_gcv_scan)
     scan.add_argument("--method", default="krr", choices=["krr", "gprr", "fdp"])
-    scan.add_argument("--m", type=int, default=None)
-    scan.add_argument("--theta", type=float, default=None)
-    scan.add_argument("--g", default="constant+linear", choices=["none", "constant", "constant+linear"])
     scan.add_argument("--grid", default=None, help="LO,HI,COUNT (log spaced)")
-    scan.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
-    scan.add_argument("--seed", type=int, default=None)
-    scan.add_argument("--out", required=True)
+    _add(scan, "--data", "--m", "--theta", "--g", "--trials", "--seed", "--out")
 
     knots = sub.add_parser("knots", help="knot selection")
+    knots.set_defaults(run=_cmd_knots)
     ksub = knots.add_subparsers(dest="knots_command", required=True)
     ksel = ksub.add_parser("select")
-    ksel.add_argument("--data", required=True)
     ksel.add_argument("--m", type=int, required=True)
-    ksel.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
-    ksel.add_argument("--seed", type=int, default=None)
-    ksel.add_argument("--out", required=True)
+    _add(ksel, "--data", "--trials", "--seed", "--out")
     kseq = ksub.add_parser("sequential")
-    kseq.add_argument("--data", required=True)
     kseq.add_argument("--test", default=None)
     kseq.add_argument("--m0", type=int, default=None)
-    kseq.add_argument("--iterations", type=int, default=15)
-    kseq.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
-    kseq.add_argument("--seed", type=int, default=None)
-    kseq.add_argument("--out", required=True)
+    _add(kseq, "--data", "--iterations", "--trials", "--seed", "--out")
 
     bench = sub.add_parser("bench", help="benchmark suites")
+    bench.set_defaults(run=_cmd_bench)
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
-    def common(bp, jobs=False):
-        bp.add_argument("--seed", type=int, default=None)
-        bp.add_argument("--out", required=True)
-        if jobs:
-            # None: read RECONSTRUCT_JOBS when the command runs (_jobs)
-            bp.add_argument("--jobs", type=int, default=None)
-
     b1 = bsub.add_parser("table1")
-    b1.add_argument("--model", default="I", choices=["I", "II", "III"])
+    b1.add_argument("--model", dest="function", default="I", choices=["I", "II", "III"])
     b1.add_argument("--d", type=int, default=2)
     b1.add_argument("--n", type=int, default=200)
-    b1.add_argument("--reps", type=int, default=20)
-    b1.add_argument("--N", type=int, default=2000)
     b1.add_argument("--sigma", type=float, default=1.0)
-    b1.add_argument("--methods", default="krr,gpr,gprr")
+    b1.add_argument("--methods", type=lambda text: tuple(text.split(",")), default="krr,gpr,gprr")
     b1.add_argument("--ackley-standard", action="store_true")
-    common(b1, jobs=True)
+    _add(b1, "--reps", "--N", "--seed", "--out", "--jobs")
 
     b3 = bsub.add_parser("table3")
     b3.add_argument("--n", type=int, default=5000)
     b3.add_argument("--m", type=int, default=80)
-    b3.add_argument("--outer", type=int, default=5)
-    b3.add_argument("--inner", type=int, default=10)
-    b3.add_argument("--N", type=int, default=2000)
-    common(b3, jobs=True)
+    b3.add_argument("--outer", type=int, default=5, dest="repetitions")
+    b3.add_argument("--inner", type=int, default=10, dest="inner_draws")
+    b3.set_defaults(function="borehole", d=8, methods=("nystrom", "spgp", "gprr"))
+    _add(b3, "--N", "--seed", "--out", "--jobs")
 
     br = bsub.add_parser("replication")
-    br.add_argument("--reps", type=int, default=20)
     br.add_argument("--m", type=int, default=7)
-    common(br)
+    br.set_defaults(function="f1d", d=1)
+    _add(br, "--reps", "--seed", "--out")
 
     bc = bsub.add_parser("ccpp")
-    bc.add_argument("--data", required=True)
     bc.add_argument("--m", type=int, default=40)
-    bc.add_argument("--iterations", type=int, default=15)
-    bc.add_argument("--trials", type=int, default=DEFAULT_SUBSET_TRIALS)
-    common(bc)
+    _add(bc, "--data", "--iterations", "--trials", "--seed", "--out")
 
     insp = sub.add_parser("inspect", help="print a model summary")
+    insp.set_defaults(run=_cmd_inspect)
     insp.add_argument("--model", required=True)
 
     return p
@@ -220,40 +232,32 @@ def _cmd_fit(args):
     if args.estimate_theta and args.method in ("krr", "gpr"):
         # the rate search fits on knots, and these methods have none
         raise _UsageError(f"--estimate-theta does not apply to method {args.method}")
+    _reject_m(args)
     X, y = _read_xy(args.data)
-    n, d = X.shape
     lam = _parse_lambda(args.lam)
-    spec = _kernel_from_args(args, d)
-    if args.m is not None:
-        _require_seed(args)
-        selection = select_knots(X, args.m, trials=args.trials, seed=args.seed)
-        A = selection.knots
-    else:
-        A = None
+    spec = _kernel_from_args(args, X.shape[1])
+    selection = _knots(args, X)
+    A = None if selection is None else selection.knots
+    if A is None and args.method in ("nystrom", "spgp", "eb"):
+        raise _UsageError(f"--m is required for method {args.method}")
+    if args.estimate_theta:
+        if A is None:
+            # with every point a knot the unpenalized fit interpolates y,
+            # so the rate search would have nothing to fit
+            raise _UsageError("--m is required for --estimate-theta")
+        estimated = estimate_kernel_params(X, y, A, args.g).model
+        spec = estimated.kernel
     if args.method == "gprr":
-        if args.estimate_theta:
-            if A is None:
-                # with every point a knot the unpenalized fit interpolates y,
-                # so the rate search would have nothing to fit
-                raise _UsageError("--m is required for --estimate-theta")
-            model = estimate_kernel_params(X, y, A, args.g).model
-        else:
-            model = fit_gprr(X, y, A, spec, args.g, lam)
+        model = estimated if args.estimate_theta else fit_gprr(X, y, A, spec, args.g, lam)
     elif args.method == "krr":
         model = fit_krr(X, y, spec, lam)
     elif args.method == "gpr":
         model = fit_gpr(X, y, spec, args.g, lam)
+    elif args.method == "nystrom":
+        model = fit_nystrom(X, y, A, spec, args.g, lam)
     else:
-        if A is None:
-            raise _UsageError(f"--m is required for method {args.method}")
-        if args.estimate_theta:
-            spec = estimate_kernel_params(X, y, A, args.g).model.kernel
-        if args.method == "nystrom":
-            model = fit_nystrom(X, y, A, spec, args.g, lam)
-        else:
-            vp = estimate_variances(X, y, A, spec)
-            fitter = fit_spgp if args.method == "spgp" else fit_empirical_bayes
-            model = fitter(X, y, A, spec, vp)
+        fitter = fit_spgp if args.method == "spgp" else fit_empirical_bayes
+        model = fitter(X, y, A, spec, estimate_variances(X, y, A, spec))
     _write_json(args.out, model_to_json(model))
     return 0
 
@@ -271,6 +275,7 @@ def _cmd_predict(args):
 
 
 def _cmd_gcv_scan(args):
+    _reject_m(args)
     X, y = _read_xy(args.data)
     n, d = X.shape
     grid = DEFAULT_LAMBDA_GRID if args.grid is None else _parse_grid(args.grid)
@@ -283,11 +288,10 @@ def _cmd_gcv_scan(args):
         if args.method == "krr":
             spectrum, _ = _kriging_spectrum(kernel_matrix(spec, X, X), regression_matrix("none", X), y)
         else:  # gprr with m knots
-            if args.m is None:
+            selection = _knots(args, X)
+            if selection is None:
                 raise _UsageError("--m is required for a gprr scan")
-            _require_seed(args)
-            knots = select_knots(X, args.m, trials=args.trials, seed=args.seed).knots
-            spectrum = _subset_spectrum(X, y, knots, spec, args.g)[1]
+            spectrum = _subset_spectrum(X, y, selection.knots, spec, args.g)[1]
         curve = _gcv_curve(n, *spectrum.rss_and_dof(grid))
     payload = {
         "method": args.method,
@@ -302,28 +306,16 @@ def _cmd_knots(args):
     # knot selection reads the features only; the sequential study fits y
     X, y = _read_xy(args.data, need_y=args.knots_command != "select")
     if args.knots_command == "select":
-        _require_seed(args)
-        sel = select_knots(X, args.m, trials=args.trials, seed=args.seed)
+        sel = _knots(args, X)
         _write_json(args.out, {
             "indices": [int(i) for i in sel.indices],
             "criterion": float(sel.criterion),
             "points": sel.knots.points.tolist(),
         })
         return 0
-    _require_seed(args)
-    from .benchmarks import Dataset
-
-    Xt = yt = None
-    if args.test:
-        Xt, yt = _read_xy(args.test)
-    config = ExperimentConfig(
-        m=args.m0 or default_knot_count(X.shape[1]),
-        iterations=args.iterations,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    report = run_ccpp(Dataset(X=X, y=y, Xtest=Xt, ytest=yt), config)
-    _write_report(args.out, report)
+    config = _config(args, m=args.m0 or default_knot_count(X.shape[1]))
+    Xt, yt = _read_xy(args.test) if args.test else (None, None)
+    _write_report(args.out, run_ccpp(Dataset(X=X, y=y, Xtest=Xt, ytest=yt), config))
     return 0
 
 
@@ -338,47 +330,26 @@ def _jobs(args):
         raise _UsageError(f"RECONSTRUCT_JOBS must be an integer, not {text!r}") from None
 
 
-def _cmd_bench(args):
+def _config(args, **given):
+    """The config of a seeded study: every parsed option whose dest is an
+    ExperimentConfig field, --jobs resolved by _jobs, then ``given``."""
     _require_seed(args)
-    if args.bench_command == "table1":
-        config = ExperimentConfig(
-            function=args.model,
-            d=args.d,
-            n=args.n,
-            repetitions=args.reps,
-            test_size=args.N,
-            sigma=args.sigma,
-            methods=tuple(args.methods.split(",")),
-            ackley_standard=args.ackley_standard,
-            seed=args.seed,
-            jobs=_jobs(args),
-        )
-        report = run_table1(config)
-    elif args.bench_command == "table3":
-        config = ExperimentConfig(
-            function="borehole",
-            d=8,
-            n=args.n,
-            m=args.m,
-            repetitions=args.outer,
-            inner_draws=args.inner,
-            test_size=args.N,
-            methods=("nystrom", "spgp", "gprr"),
-            seed=args.seed,
-            jobs=_jobs(args),
-        )
-        report = run_table3(config)
-    elif args.bench_command == "replication":
-        config = ExperimentConfig(
-            function="f1d", d=1, m=args.m, repetitions=args.reps, seed=args.seed,
-        )
-        report = run_replication_study(config)
+    names = {f.name for f in fields(ExperimentConfig)}
+    parsed = {k: v for k, v in vars(args).items() if k in names}
+    if "jobs" in parsed:
+        parsed["jobs"] = _jobs(args)
+    return ExperimentConfig(**{**parsed, **given})
+
+
+_STUDIES = {"table1": run_table1, "table3": run_table3, "replication": run_replication_study}
+
+
+def _cmd_bench(args):
+    config = _config(args)
+    if args.bench_command == "ccpp":
+        report = run_ccpp(load_ccpp(args.data), config)
     else:
-        dataset = load_ccpp(args.data)
-        config = ExperimentConfig(
-            m=args.m, iterations=args.iterations, trials=args.trials, seed=args.seed,
-        )
-        report = run_ccpp(dataset, config)
+        report = _STUDIES[args.bench_command](config)
     _write_report(args.out, report)
     return 0
 
@@ -400,27 +371,12 @@ def _cmd_inspect(args):
     return 0
 
 
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "gcv-scan": _cmd_gcv_scan,
-    "knots": _cmd_knots,
-    "bench": _cmd_bench,
-    "inspect": _cmd_inspect,
-}
-
-
 def dispatch(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

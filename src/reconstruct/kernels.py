@@ -70,11 +70,14 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == "gaussian":
-            if not self.theta or any(t <= 0 for t in self.theta):
-                raise ValueError("gaussian kernel needs strictly positive theta values")
+            # NaN fails 0 < t, so the chained test also rejects it
+            if not self.theta or not all(0.0 < t < math.inf for t in self.theta):
+                raise ValueError(
+                    f"gaussian kernel needs positive finite theta values, not {self.theta}"
+                )
         elif self.family == "matern":
-            if self.nu is None or self.phi is None or self.phi <= 0:
-                raise ValueError("matern kernel needs nu and a positive phi")
+            if self.nu is None or self.phi is None or not 0.0 < self.phi < math.inf:
+                raise ValueError(f"matern kernel needs nu and a positive finite phi, not {self.phi}")
             if self.nu not in _SUPPORTED_NU:
                 raise UnsupportedNu(
                     f"matern nu={self.nu} unsupported; choose one of {_SUPPORTED_NU}"

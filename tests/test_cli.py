@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reconstruct
+from reconstruct.benchmarks import ExperimentConfig
 from reconstruct.cli import _read_xy, _write_json, dispatch
 from reconstruct.designs import select_knots
 from reconstruct.estimators import (
@@ -310,6 +311,19 @@ class TestFitPredict:
         assert "--estimate-theta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,method", [
+        ("fit", "krr"), ("fit", "gpr"), ("gcv-scan", "krr"), ("gcv-scan", "fdp"),
+    ])
+    def test_knot_count_rejected_on_full_knot_methods(self, tmp_path, train_csv, capsys,
+                                                      command, method):
+        # these methods fit on every point; --m must not be dropped silently
+        path, _, _ = train_csv
+        out = tmp_path / "out.json"
+        assert dispatch([command, "--data", str(path), "--method", method, "--m", "8",
+                         "--seed", "1", "--out", str(out)]) == 1
+        assert f"--m does not apply to method {method}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_rejects_truncated_model(self, tmp_path, train_csv, capsys):
         path, X, _ = train_csv
         out = tmp_path / "model.json"
@@ -528,6 +542,38 @@ class TestBench:
             "--seed", "3", "--jobs", "1", "--out", str(out),
         ]) == 0
         assert json.loads((tmp_path / "r.json.timings.json").read_text())["jobs"] == 1
+
+    @pytest.mark.filterwarnings("ignore:expected 9568 rows")
+    def test_flags_set_the_config_fields(self, tmp_path, rng, train_csv, capsys):
+        # each flag reaches the ExperimentConfig field of the same meaning
+        ccpp = tmp_path / "ccpp.csv"
+        ccpp.write_text("AT,V,AP,RH,PE\n" + "\n".join(
+            ",".join(repr(float(v)) for v in row) for row in rng.random((60, 5))) + "\n")
+        cases = [
+            (["bench", "table1", "--model", "II", "--d", "3", "--n", "30", "--reps", "2",
+              "--N", "40", "--sigma", "0.5", "--methods", "krr,gprr", "--ackley-standard",
+              "--seed", "3", "--jobs", "1"],
+             ExperimentConfig(function="II", d=3, n=30, repetitions=2, test_size=40, sigma=0.5,
+                              methods=("krr", "gprr"), ackley_standard=True, seed=3)),
+            (["bench", "table3", "--n", "60", "--m", "8", "--outer", "1", "--inner", "2",
+              "--N", "30", "--seed", "4", "--jobs", "1"],
+             ExperimentConfig(function="borehole", d=8, n=60, m=8, repetitions=1, inner_draws=2,
+                              test_size=30, methods=("nystrom", "spgp", "gprr"), seed=4)),
+            (["bench", "replication", "--reps", "1", "--m", "5", "--seed", "5"],
+             ExperimentConfig(function="f1d", d=1, m=5, repetitions=1, seed=5)),
+            (["bench", "ccpp", "--data", str(ccpp), "--m", "6", "--iterations", "1",
+              "--trials", "50", "--seed", "6"],
+             ExperimentConfig(m=6, iterations=1, trials=50, seed=6)),
+            (["knots", "sequential", "--data", str(train_csv[0]), "--m0", "6",
+              "--iterations", "1", "--trials", "50", "--seed", "7"],
+             ExperimentConfig(m=6, iterations=1, trials=50, seed=7)),
+        ]
+        for argv, config in cases:
+            out = tmp_path / "report.json"
+            assert dispatch(argv + ["--out", str(out)]) == 0, argv
+            expect = config.to_dict()
+            del expect["jobs"]
+            assert json.loads(out.read_text())["config"] == expect, argv
 
     def test_replication_bench_smoke(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -878,6 +878,8 @@ class TestModelJsonSchema:
         ("kernel", {"family": "gaussian"}),
         ("kernel", {"family": "gaussian", "theta": [0.0, 12.5]}),
         ("kernel", {"family": "gaussian", "theta": [-1.0, 12.5]}),
+        ("kernel", {"family": "gaussian", "theta": [math.nan, 12.5]}),
+        ("kernel", {"family": "gaussian", "theta": [math.inf, 12.5]}),
     ])
     def test_unusable_kernel_model_is_rejected_on_load(self, rng, field, value):
         with pytest.raises(BadSchema, match=f"'{field}'"):

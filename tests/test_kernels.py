@@ -359,3 +359,9 @@ class TestSerialization:
             KernelSpec(family="gaussian", theta=(1.0, -2.0))
         with pytest.raises(ValueError):
             KernelSpec(family="wavelet")
+        # NaN passes a plain t <= 0 test, so it is checked as well as inf
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive finite theta"):
+                KernelSpec(family="gaussian", theta=(1.0, bad))
+            with pytest.raises(ValueError, match="positive finite phi"):
+                KernelSpec(family="matern", nu=1.5, phi=bad)
