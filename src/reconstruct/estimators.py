@@ -21,6 +21,7 @@ re-invert an ill-conditioned correlation matrix.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -631,6 +632,17 @@ class KernelParamsFit:
     evaluations: int = 0
 
 
+def _unheaped(*shape) -> np.ndarray:
+    """An uninitialised float array in a private memory map of its own,
+    given back to the system when the array is freed.  malloc puts a
+    block below its mmap threshold (which grows to the largest block
+    freed so far, up to 32 MiB) on its heap, where one small allocation
+    that lands above it and lives on keeps the freed block resident."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count, 1) * 8, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
+
+
 class _RateSearch:
     """f(theta) = min_gamma ||y - B(theta) gamma||^2 / n and its gradient.
 
@@ -638,6 +650,12 @@ class _RateSearch:
     r_A(x)'V.  The d squared-difference tensors are stacked, so a row
     block's exponents are one matrix-vector product with theta; two n x m
     buffers hold the correlations K and the basis B of the last gamma-step.
+    The tensors (26 MB at n = 5000, m = 80, d = 8) are memory-mapped: on
+    the heap, whether they stayed resident after the search depended on
+    where its small results landed, and the peak memory of a run moved by
+    5 to 16 MiB from one run to the next.  K and B are two arrays below
+    numpy's 4 MiB huge-page size at that shape, so their footprint does
+    not depend on whether the system grants huge pages.
     """
 
     def __init__(self, X, y, knots: KnotSet, g_kind: str):
@@ -645,13 +663,13 @@ class _RateSearch:
         self.n, self.d = X.shape
         self.m = knots.m
         A = knots.points
-        self.DX = np.empty((self.d, self.n, self.m))
+        self.DX = _unheaped(self.d, self.n, self.m)
         self.DA = np.empty((self.d, self.m, self.m))
         for l in range(self.d):
             for P, D in ((X, self.DX), (A, self.DA)):
                 np.square(np.subtract(P[:, l, None], A[None, :, l], out=D[l]), out=D[l])
         self.GX, self.GA = regression_matrix(g_kind, X), regression_matrix(g_kind, A)
-        self._K, self._B = np.empty((2, self.n, self.m))
+        self._K, self._B = np.empty((self.n, self.m)), np.empty((self.n, self.m))
         rows = max(1, CACHE_BLOCK_FLOATS // self.m)
         self._blocks = [(s, min(s + rows, self.n)) for s in range(0, self.n, rows)]
         self._M = np.empty((min(rows, self.n), self.m))
