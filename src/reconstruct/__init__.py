@@ -34,7 +34,6 @@ from .estimators import (
     model_from_json,
     model_to_json,
     predict,
-    ridge_reconstruct,
     select_lambda,
 )
 from .interpolators import (
@@ -45,7 +44,6 @@ from .interpolators import (
     fit_cubic_spline,
     fit_natural_spline,
     gp_basis_build,
-    gp_basis_eval,
     interpolation_error,
     kernel_interp_eval,
     lagrange_eval,

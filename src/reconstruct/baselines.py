@@ -12,7 +12,7 @@ basis [G_X, P]; SPGP and the quasi-posterior share one m x m ridge solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -106,7 +106,7 @@ def fit_nystrom(
     B = np.hstack([G, P])
     Sigma = np.diag(np.r_[np.zeros(q), np.ones(P.shape[1])])
     spectrum, coefficients, jitter = demmler_reinsch(B, Sigma, y)
-    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, spectrum.rss_and_dof)
+    lam, tuned = _tune(_lambda_plan(lambda_policy, grid, n), n, spectrum.rss_and_dof)
     if n * lam <= 0.0:
         raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")
     c = coefficients(lam)
@@ -121,7 +121,7 @@ def fit_nystrom(
         beta=beta,
         w=alpha,
         method="nystrom",
-        diagnostics=FitDiagnostics(gcv=gval, jitter=max(jitter, facA.jitter_applied)),
+        diagnostics=replace(tuned, jitter=max(jitter, facA.jitter_applied)),
     )
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -30,20 +31,16 @@ from .benchmarks import (
 from .designs import DEFAULT_SUBSET_TRIALS, default_knot_count, select_knots
 from .errors import ReconstructError
 from .estimators import (
-    DEFAULT_LAMBDA_GRID,
-    _gcv_curve,
-    _kriging_spectrum,
-    _subset_spectrum,
     estimate_kernel_params,
-    fdp_gcv,
+    fit_fdp,
     fit_gprr,
     fit_krr,
     model_from_json,
     model_to_json,
     predict,
 )
-from .interpolators import G_KINDS, regression_matrix
-from .kernels import default_gaussian, gaussian_kernel, kernel_matrix
+from .interpolators import G_KINDS
+from .kernels import default_gaussian, gaussian_kernel
 from .tables import read_table
 
 
@@ -94,7 +91,8 @@ def _parse_lambda(text):
 
 
 def _parse_grid(text):
-    """A --grid value LO,HI,COUNT: COUNT log-spaced lambdas from LO to HI."""
+    """A --grid value LO,HI,COUNT: COUNT >= 2 log-spaced lambdas from LO to
+    HI (one point would fix lambda, and a fixed lambda has no curve)."""
     try:
         lo, hi, count = text.split(",")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -102,8 +100,8 @@ def _parse_grid(text):
         raise _UsageError(f"--grid takes LO,HI,COUNT, not {text!r}") from None
     if not (0.0 < lo < np.inf and 0.0 < hi < np.inf):
         raise _UsageError(f"--grid bounds must be positive and finite, not {lo!r} and {hi!r}")
-    if count < 1:
-        raise _UsageError(f"--grid COUNT must be at least 1, not {count}")
+    if count < 2:
+        raise _UsageError(f"--grid COUNT must be at least 2, not {count}")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -275,24 +273,25 @@ def _cmd_predict(args):
 
 
 def _cmd_gcv_scan(args):
+    """Fit with lambda by GCV over the grid; write the curve it searched."""
     _reject_m(args)
     X, y = _read_xy(args.data)
-    n, d = X.shape
-    grid = DEFAULT_LAMBDA_GRID if args.grid is None else _parse_grid(args.grid)
+    d = X.shape[1]
+    grid = None if args.grid is None else _parse_grid(args.grid)  # None: the fits' default
     if args.method == "fdp":
         if d != 1:
             raise ReconstructError("the finite-difference scan expects 1-D data")
-        curve = fdp_gcv(y, grid)
+        fit = fit_fdp(y, "gcv", grid)
     else:
         spec = _kernel_from_args(args, d)
         if args.method == "krr":
-            spectrum, _ = _kriging_spectrum(kernel_matrix(spec, X, X), regression_matrix("none", X), y)
+            fit = fit_krr(X, y, spec, "gcv", grid)
         else:  # gprr with m knots
             selection = _knots(args, X)
             if selection is None:
                 raise _UsageError("--m is required for a gprr scan")
-            spectrum = _subset_spectrum(X, y, selection.knots, spec, args.g)[1]
-        curve = _gcv_curve(n, *spectrum.rss_and_dof(grid))
+            fit = fit_gprr(X, y, selection.knots, spec, args.g, "gcv", grid)
+    grid, curve = fit.diagnostics.gcv_curve
     payload = {
         "method": args.method,
         "grid": [float(g) for g in grid],
@@ -347,7 +346,13 @@ _STUDIES = {"table1": run_table1, "table3": run_table3, "replication": run_repli
 def _cmd_bench(args):
     config = _config(args)
     if args.bench_command == "ccpp":
-        report = run_ccpp(load_ccpp(args.data), config)
+        # a row-count warning is one plain stderr line, not Python's report
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            data = load_ccpp(args.data)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        report = run_ccpp(data, config)
     else:
         report = _STUDIES[args.bench_command](config)
     _write_report(args.out, report)

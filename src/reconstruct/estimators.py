@@ -11,7 +11,9 @@ interpolator that rebuilds the curve or surface.  Generic machinery:
 Every lambda search runs through one GCV engine: a fit decomposes its
 smoother once (a :class:`~reconstruct.numerics.SmootherSpectrum`, or the
 exact finite-difference traces of a whole grid), the residuals and traces
-over the grid give the curve, and one plateau rule picks lambda.
+over the grid give the curve, and one plateau rule picks lambda.  The fit
+keeps the grid and the curve it searched in its diagnostics
+(``FitDiagnostics.gcv_curve``), outside the stored model.
 
 Kernel-kind models store, besides the knot values, the trend/kernel
 coefficients (beta, w) of the interpolant, so prediction never has to
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -85,6 +87,9 @@ class FitDiagnostics:
     gcv: Optional[float] = None
     jitter: float = 0.0
     iterations: int = 0
+    # (grid, GCV over it) of the lambda search, None when lambda was fixed;
+    # kept for reporting, and not part of to_dict or of equality
+    gcv_curve: Optional[tuple] = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -274,11 +279,6 @@ def roughness_penalty(basis: GPBasis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ridge_reconstruct(B, y, lam, Sigma) -> np.ndarray:
-    """gamma = (B'B + n*lam*Sigma)^{-1} B'y."""
-    return demmler_reinsch(B, Sigma, y)[1](lam)
-
-
 def _lambda_plan(lambda_policy, grid, n, m=None):
     """The one reading of a lambda policy for a fit of m knot values to n
     points (m defaults to n): (lam, None) fixes lambda, (None, grid) asks
@@ -305,7 +305,8 @@ def _lambda_plan(lambda_policy, grid, n, m=None):
         raise ValueError(
             f"unknown lambda policy {lambda_policy!r}; use gcv, auto, none or a number"
         )
-    grid = DEFAULT_LAMBDA_GRID if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
+    # a copy: the fit keeps the grid in its diagnostics
+    grid = np.array(DEFAULT_LAMBDA_GRID if grid is None else grid, dtype=float, ndmin=1)
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
     bad = grid[~((grid >= 0.0) & (grid < math.inf))]
@@ -341,13 +342,16 @@ def _gcv_select(grid, curve):
 
 
 def _tune(plan, n, rss_and_dof):
-    """Every fit's lambda from its :func:`_lambda_plan`: (lam, None) when
-    the plan fixes it, else the GCV pick (lam, GCV at lam) from
+    """Every fit's lambda from its :func:`_lambda_plan` and the diagnostics
+    of its search: empty ones when the plan fixes lambda, else the GCV pick
+    with its GCV and ``gcv_curve`` = (grid, curve), the curve made from
     ``rss_and_dof(grid) -> (rss, n - tr)``."""
     lam, grid = plan
     if grid is None:
-        return lam, None
-    return _gcv_select(grid, _gcv_curve(n, *rss_and_dof(grid)))
+        return lam, FitDiagnostics()
+    curve = _gcv_curve(n, *rss_and_dof(grid))
+    lam, gval = _gcv_select(grid, curve)
+    return lam, FitDiagnostics(gcv=gval, gcv_curve=(grid, curve))
 
 
 def gcv(B, y, lam, Sigma):
@@ -428,14 +432,14 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
     G = regression_matrix(g_kind, X)
     R = kernel_matrix(spec, X, X)
     lam, grid = _lambda_plan(lambda_policy, grid, n)
-    gval, jitter = None, 0.0
+    tuned, jitter = FitDiagnostics(), 0.0
     if grid is None:
         fac = spd_factor(R if lam == 0.0 else R + n * lam * np.eye(n))
         beta, c = fac.gls(G, y)
         gamma, jitter = y - n * lam * c, fac.jitter_applied
     else:
         spectrum, coefficients = _kriging_spectrum(R, G, y)
-        lam, gval = _tune((lam, grid), n, spectrum.rss_and_dof)
+        lam, tuned = _tune((lam, grid), n, spectrum.rss_and_dof)
         beta, c, gamma = coefficients(lam)
     krr = method == "krr"
     return FittedModel(
@@ -448,7 +452,7 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
         beta=None if krr else beta,
         w=c,
         method=method,
-        diagnostics=FitDiagnostics(gcv=gval, jitter=jitter),
+        diagnostics=replace(tuned, jitter=jitter),
     )
 
 
@@ -457,9 +461,11 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
 # ---------------------------------------------------------------------------
 
 
-def _basis_model(basis: GPBasis, gamma, lam, gcv=None, jitter=0.0, iterations=0) -> FittedModel:
-    """The gprr model with knot values gamma on a kriging basis; the jitter
-    reported is the larger of ``jitter`` and the basis's own."""
+def _basis_model(basis: GPBasis, gamma, lam, tuned=FitDiagnostics(), jitter=0.0,
+                 iterations=0) -> FittedModel:
+    """The gprr model with knot values gamma on a kriging basis and the
+    diagnostics ``tuned`` of its lambda search; the jitter reported is the
+    larger of ``jitter`` and the basis's own."""
     return FittedModel(
         interpolator="gp",
         knots=basis.knots,
@@ -470,11 +476,8 @@ def _basis_model(basis: GPBasis, gamma, lam, gcv=None, jitter=0.0, iterations=0)
         beta=basis.U.T @ gamma,
         w=basis.V @ gamma,
         method="gprr",
-        diagnostics=FitDiagnostics(
-            gcv=gcv,
-            jitter=max(jitter, basis.R_A_factor.jitter_applied),
-            iterations=iterations,
-        ),
+        diagnostics=replace(tuned, jitter=max(jitter, basis.R_A_factor.jitter_applied),
+                            iterations=iterations),
     )
 
 
@@ -512,8 +515,8 @@ def fit_gprr(
     if knots.m == n and np.array_equal(knots.points, X):
         return _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, "gprr")
     basis, spectrum, coefficients, jitter = _subset_spectrum(X, y, knots, spec, g_kind)
-    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n, knots.m), n, spectrum.rss_and_dof)
-    return _basis_model(basis, coefficients(lam), lam, gcv=gval, jitter=jitter)
+    lam, tuned = _tune(_lambda_plan(lambda_policy, grid, n, knots.m), n, spectrum.rss_and_dof)
+    return _basis_model(basis, coefficients(lam), lam, tuned, jitter=jitter)
 
 
 def fit_krr(X, y, spec: Optional[KernelSpec] = None, lambda_policy="gcv", grid=None) -> FittedModel:
@@ -573,7 +576,7 @@ def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
     if n < 3:
         raise DimensionMismatch("the finite-difference fit needs at least 3 points")
     _require_finite("y", y)
-    lam, gval = _tune(_lambda_plan(lambda_policy, grid, n), n, lambda g: _fdp_rss_and_dof(y, g))
+    lam, tuned = _tune(_lambda_plan(lambda_policy, grid, n), n, lambda g: _fdp_rss_and_dof(y, g))
     gamma = banded_spd_solve(fdp_system(n, lam), y)
     x = np.linspace(0.0, 1.0, n)
     return FdpFit(
@@ -581,7 +584,7 @@ def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
         lam=lam,
         grid_x=x,
         spline=fit_natural_spline(x, gamma),
-        diagnostics=FitDiagnostics(gcv=gval),
+        diagnostics=tuned,
     )
 
 

@@ -299,18 +299,6 @@ def gp_basis_build(A, spec: KernelSpec, g_kind: str = "constant+linear") -> GPBa
     return GPBasis(A, spec, g_kind, Ut.T, 0.5 * (V + V.T), fac, G)
 
 
-def gp_basis_eval(basis: GPBasis, x) -> np.ndarray:
-    """The m basis functions b(x) at a single point x."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != basis.knots.d:
-        raise DimensionMismatch(
-            f"point has {x.shape[0]} coordinates, knots have {basis.knots.d}"
-        )
-    g = regression_matrix(basis.g_kind, x[None, :])[0]
-    r = kernel_matrix(basis.spec, x[None, :], basis.knots.points)[0]
-    return basis.U @ g + basis.V @ r
-
-
 def design_matrix(basis: GPBasis, X) -> np.ndarray:
     """Rows b(x_i)' for the points of X: G_X U' + R_XA V."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -10,18 +11,21 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reconstruct
+from reconstruct import cli
 from reconstruct.benchmarks import ExperimentConfig
 from reconstruct.cli import _read_xy, _write_json, dispatch
 from reconstruct.designs import select_knots
 from reconstruct.estimators import (
     _gcv_curve,
+    _kriging_spectrum,
     _subset_spectrum,
     estimate_kernel_params,
+    fdp_gcv,
     model_from_json,
     predict,
 )
-from reconstruct.interpolators import KnotSet
-from reconstruct.kernels import default_gaussian
+from reconstruct.interpolators import KnotSet, regression_matrix
+from reconstruct.kernels import default_gaussian, kernel_matrix
 
 
 @pytest.fixture
@@ -380,7 +384,7 @@ class TestScansAndKnots:
 
     @pytest.mark.parametrize("grid", [
         "1e-8,1e2", "1e-8,1e2,5,7", "1e-8,ten,5", "1e-8,1e2,2.5",
-        "0,1e2,5", "-1e-2,1e2,5", "1e-8,inf,5", "nan,1e2,5", "1e-8,1e2,0",
+        "0,1e2,5", "-1e-2,1e2,5", "1e-8,inf,5", "nan,1e2,5", "1e-8,1e2,0", "1e-8,1e2,1",
     ])
     def test_bad_grid_is_a_usage_error_naming_it(self, tmp_path, train_csv, capsys, grid):
         out = tmp_path / "curve.json"
@@ -543,7 +547,6 @@ class TestBench:
         ]) == 0
         assert json.loads((tmp_path / "r.json.timings.json").read_text())["jobs"] == 1
 
-    @pytest.mark.filterwarnings("ignore:expected 9568 rows")
     def test_flags_set_the_config_fields(self, tmp_path, rng, train_csv, capsys):
         # each flag reaches the ExperimentConfig field of the same meaning
         ccpp = tmp_path / "ccpp.csv"
@@ -574,6 +577,14 @@ class TestBench:
             expect = config.to_dict()
             del expect["jobs"]
             assert json.loads(out.read_text())["config"] == expect, argv
+
+    def test_ccpp_row_count_warning_is_one_plain_line(self, tmp_path, rng, capsys):
+        ccpp = tmp_path / "ccpp.csv"
+        ccpp.write_text("AT,V,AP,RH,PE\n" + "\n".join(
+            ",".join(repr(float(v)) for v in row) for row in rng.random((60, 5))) + "\n")
+        assert dispatch(["bench", "ccpp", "--data", str(ccpp), "--m", "6", "--iterations", "1",
+                         "--trials", "50", "--seed", "6", "--out", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == "warning: expected 9568 rows, found 60\n"
 
     def test_replication_bench_smoke(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -627,19 +638,70 @@ class TestMoreSurfaces:
         payload = json.loads(out.read_text())
         assert len(payload["gcv"]) == 5
 
-    def test_gcv_scan_gprr_uses_selected_knots(self, tmp_path, train_csv, capsys):
+    @pytest.mark.parametrize("method", ["gprr", "krr", "fdp"])
+    def test_gcv_scan_gprr_uses_selected_knots(self, tmp_path, train_csv, capsys, method):
+        # each scan writes the curve of the in-test reference route
         path, X, y = train_csv
-        knots_out, curve_out = tmp_path / "k.json", tmp_path / "c.json"
-        seed = ["--m", "8", "--trials", "100", "--seed", "3"]
-        assert dispatch(["knots", "select", "--data", str(path), *seed, "--out", str(knots_out)]) == 0
-        assert dispatch(["gcv-scan", "--data", str(path), "--method", "gprr", *seed,
+        n, grid = X.shape[0], np.logspace(-6, 1, 5)
+        knot_args = []
+        if method == "gprr":
+            knot_args = ["--m", "8", "--trials", "100", "--seed", "3"]
+            knots_out = tmp_path / "k.json"
+            assert dispatch(["knots", "select", "--data", str(path), *knot_args,
+                             "--out", str(knots_out)]) == 0
+            idx = json.loads(knots_out.read_text())["indices"]
+            assert idx != select_knots(X, 8, seed=3).indices.tolist()  # trials reached the search
+            spectrum = _subset_spectrum(X, y, KnotSet(X[idx]), default_gaussian(2),
+                                        "constant+linear")[1]
+            expect = _gcv_curve(n, *spectrum.rss_and_dof(grid))
+        elif method == "krr":
+            R = kernel_matrix(default_gaussian(2), X, X)
+            spectrum = _kriging_spectrum(R, regression_matrix("none", X), y)[0]
+            expect = _gcv_curve(n, *spectrum.rss_and_dof(grid))
+        else:  # the finite-difference fit reads y on an even grid
+            path = tmp_path / "line.csv"
+            path.write_text("x1,y\n" + "".join(
+                f"{i / (n - 1)!r},{float(v)!r}\n" for i, v in enumerate(y)))
+            expect = fdp_gcv(y, grid)
+        curve_out = tmp_path / "c.json"
+        assert dispatch(["gcv-scan", "--data", str(path), "--method", method, *knot_args,
                          "--grid", "1e-6,1e1,5", "--out", str(curve_out)]) == 0
-        idx = json.loads(knots_out.read_text())["indices"]
-        assert idx != select_knots(X, 8, seed=3).indices.tolist()  # trials reached the search
-        grid = np.logspace(-6, 1, 5)
-        spectrum = _subset_spectrum(X, y, KnotSet(X[idx]), default_gaussian(2), "constant+linear")[1]
-        expect = _gcv_curve(X.shape[0], *spectrum.rss_and_dof(grid))
         assert json.loads(curve_out.read_text())["gcv"] == expect.tolist()
+
+    def test_gcv_scan_with_every_point_a_knot_is_the_fit(self, tmp_path, rng, capsys):
+        # at m = n the fit takes the full-knot kriging route; the scan writes
+        # that route's curve, so the two agree exactly
+        X = rng.random((12, 2))
+        y = np.sin(4 * X[:, 0]) + 0.1 * rng.normal(size=12)
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,y\n" + "\n".join(
+            f"{float(a)!r},{float(b)!r},{float(c)!r}" for (a, b), c in zip(X, y)) + "\n")
+        curve_out, model_out = tmp_path / "c.json", tmp_path / "m.json"
+        knot_args = ["--method", "gprr", "--m", "12", "--seed", "1"]
+        assert dispatch(["gcv-scan", "--data", str(data), *knot_args, "--out", str(curve_out)]) == 0
+        assert dispatch(["fit", "--data", str(data), *knot_args, "--lambda", "gcv",
+                         "--out", str(model_out)]) == 0
+        payload = json.loads(curve_out.read_text())
+        curve = np.array([np.inf if v is None else v for v in payload["gcv"]])
+        model = json.loads(model_out.read_text())
+        assert payload["grid"][int(np.argmin(curve))] == model["lambda"]
+        assert model["diagnostics"]["gcv"] == np.min(curve)
+
+    def test_gcv_scan_undefined_everywhere_is_a_fit_error(self, tmp_path, rng, capsys):
+        # the banded factor fails on the whole grid, so the fit has no pick
+        x = np.linspace(0, 1, 50)
+        y = np.sin(6 * x) + 0.2 * rng.normal(size=50)
+        data = tmp_path / "d.csv"
+        data.write_text(
+            "x1,y\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n"
+        )
+        out = tmp_path / "c.json"
+        assert dispatch([
+            "gcv-scan", "--data", str(data), "--method", "fdp",
+            "--grid", "1e17,1e18,3", "--out", str(out),
+        ]) == 2
+        assert "GCV is undefined on the whole grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_knots_sequential(self, tmp_path, train_csv, capsys):
         path, X, y = train_csv
@@ -699,3 +761,17 @@ class TestPackageImport:
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                              check=True, capture_output=True, text=True, timeout=120)
         assert out.stdout.strip() == ""
+
+    def test_cli_imports_no_private_package_name(self):
+        # the command line reaches the package through its public names only
+        with open(cli.__file__) as fh:
+            tree = ast.parse(fh.read())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "reconstruct"
+            ):
+                names += (node.module or "").split(".") + [alias.name for alias in node.names]
+        private = [name for name in names
+                   if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+        assert private == []

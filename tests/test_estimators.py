@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -41,7 +42,6 @@ from reconstruct.estimators import (
     model_from_json,
     model_to_json,
     predict,
-    ridge_reconstruct,
     roughness_penalty,
     select_lambda,
 )
@@ -54,23 +54,26 @@ from reconstruct.interpolators import (
     regression_matrix,
 )
 from reconstruct.kernels import default_gaussian, gaussian_kernel, kernel_matrix
+from reconstruct.numerics import demmler_reinsch
 
 from conftest import f1d, mp_residual_and_trace, random_spd, separated_points
 
 
 class TestRidgeReconstruct:
+    """gamma = (B'B + n*lam*Sigma)^{-1} B'y from the Demmler-Reinsch solve."""
+
     def test_identity_shrinkage(self, rng):
         n = 10
         y = rng.normal(size=n)
         lam = 0.07
-        got = ridge_reconstruct(np.eye(n), y, lam, np.eye(n))
+        got = demmler_reinsch(np.eye(n), np.eye(n), y)[1](lam)
         np.testing.assert_allclose(got, y / (1 + n * lam), atol=1e-12)
 
     def test_lambda_zero_exact(self, rng):
         n = 8
         B = rng.normal(size=(n, n)) + 4 * np.eye(n)
         y = rng.normal(size=n)
-        got = ridge_reconstruct(B, y, 0.0, np.eye(n))
+        got = demmler_reinsch(B, np.eye(n), y)[1](0.0)
         np.testing.assert_allclose(got, np.linalg.solve(B, y), atol=1e-8)
 
     def test_first_order_condition(self, rng):
@@ -79,7 +82,7 @@ class TestRidgeReconstruct:
         B = rng.normal(size=(n, m))
         y = rng.normal(size=n)
         Sigma = np.eye(m)
-        g = ridge_reconstruct(B, y, lam, Sigma)
+        g = demmler_reinsch(B, Sigma, y)[1](lam)
         grad = -2.0 / n * B.T @ (y - B @ g) + 2 * lam * Sigma @ g
         assert np.linalg.norm(grad) < 1e-6
 
@@ -164,7 +167,7 @@ class TestGprr:
         B = design_matrix(basis, X)
         R = kernel_matrix(spec, X, X)
         Sigma = basis.V @ R @ basis.V.T
-        gamma = ridge_reconstruct(B, y, lam, 0.5 * (Sigma + Sigma.T))
+        gamma = demmler_reinsch(B, 0.5 * (Sigma + Sigma.T), y)[1](lam)
         xs = rng.random((50, 2))
         preds = kernel_matrix(spec, xs, X) @ (basis.V @ gamma)
         ref = predict(fit_krr(X, y, spec, lam), xs)
@@ -968,6 +971,19 @@ class TestLambdaPolicy:
         by_gcv = _TUNED_FITS[name](*tuned_data, "gcv")
         assert auto.lam == by_gcv.lam
         assert auto.diagnostics.gcv == by_gcv.diagnostics.gcv is not None
+
+    @pytest.mark.parametrize("name", sorted(_TUNED_FITS))
+    def test_fit_keeps_the_curve_it_searched(self, tuned_data, name):
+        diag = _TUNED_FITS[name](*tuned_data, "gcv").diagnostics
+        grid, curve = diag.gcv_curve
+        np.testing.assert_array_equal(grid, DEFAULT_LAMBDA_GRID)
+        assert diag.gcv in curve.tolist()
+        # the curve is for reporting: not stored, compared or hashed
+        assert "gcv_curve" not in diag.to_dict()
+        bare = dataclasses.replace(diag, gcv_curve=None)
+        assert bare == diag and hash(bare) == hash(diag)
+        if name != "fit_nystrom":
+            assert _TUNED_FITS[name](*tuned_data, 1e-3).diagnostics.gcv_curve is None
 
     @pytest.mark.parametrize("name", sorted(_TUNED_FITS))
     def test_unknown_word_raises(self, tuned_data, name):

@@ -23,7 +23,6 @@ from reconstruct.interpolators import (
     fit_cubic_spline,
     fit_natural_spline,
     gp_basis_build,
-    gp_basis_eval,
     gp_interp_eval,
     interpolation_error,
     kernel_interp_eval,
@@ -382,7 +381,7 @@ class TestGpBasis:
     def test_basis_is_standard_at_knots(self, rng):
         pts = separated_points(rng, 7, 2)
         basis = gp_basis_build(pts, default_gaussian(2), "constant+linear")
-        b = gp_basis_eval(basis, pts[2])
+        b = design_matrix(basis, pts[2][None, :])[0]
         expect = np.zeros(7)
         expect[2] = 1.0
         np.testing.assert_allclose(b, expect, atol=1e-8)
@@ -391,12 +390,12 @@ class TestGpBasis:
         pts = separated_points(rng, 8, 2)
         basis = gp_basis_build(pts, default_gaussian(2), "constant")
         for _ in range(10):
-            b = gp_basis_eval(basis, rng.random(2))
+            b = design_matrix(basis, rng.random(2)[None, :])[0]
             assert np.sum(b) == pytest.approx(1.0, abs=1e-8)
 
     def test_single_knot_no_regression(self):
         basis = gp_basis_build([[0.3]], gaussian_kernel([2.0]), "none")
-        b = gp_basis_eval(basis, np.array([0.8]))
+        b = design_matrix(basis, np.array([0.8])[None, :])[0]
         assert b[0] == pytest.approx(np.exp(-2.0 * 0.25), rel=1e-10)
 
     def test_rank_deficient_rejected(self):
@@ -411,11 +410,12 @@ class TestDesignMatrix:
         np.testing.assert_allclose(design_matrix(basis, pts), np.eye(9), atol=1e-8)
 
     def test_single_row(self, rng):
+        # one point given as a 1-D array is read as one row
         pts = separated_points(rng, 5, 1)
         basis = gp_basis_build(pts, default_gaussian(1), "constant")
         x = rng.random((1, 1))
         np.testing.assert_allclose(
-            design_matrix(basis, x)[0], gp_basis_eval(basis, x[0]), atol=1e-12
+            design_matrix(basis, x)[0], design_matrix(basis, x[0])[0], atol=1e-12
         )
 
     def test_rows_match_pointwise(self, rng):
@@ -424,7 +424,7 @@ class TestDesignMatrix:
         X = rng.random((20, 2))
         B = design_matrix(basis, X)
         for i in range(20):
-            np.testing.assert_allclose(B[i], gp_basis_eval(basis, X[i]), atol=1e-12)
+            np.testing.assert_allclose(B[i], design_matrix(basis, X[i : i + 1])[0], atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         pts = separated_points(rng, 5, 2)
