@@ -23,12 +23,12 @@ re-invert an ill-conditioned correlation matrix.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh, solve_triangular
+from scipy.linalg.blas import dgemm
 
 from .designs import ReplicationDesign
 from .errors import (
@@ -52,10 +52,10 @@ from .interpolators import (
     spline_eval,
 )
 from .kernels import (
-    CACHE_BLOCK_FLOATS,
     DEFAULT_GAUSSIAN_RATE,
     KernelSpec,
     default_gaussian,
+    gaussian_kernel,
     kernel_matrix,
     kernel_matvec,
     spec_from_json,
@@ -635,67 +635,42 @@ class KernelParamsFit:
     evaluations: int = 0
 
 
-def _unheaped(*shape) -> np.ndarray:
-    """An uninitialised float array in a private memory map of its own,
-    given back to the system when the array is freed.  malloc puts a
-    block below its mmap threshold (which grows to the largest block
-    freed so far, up to 32 MiB) on its heap, where one small allocation
-    that lands above it and lives on keeps the freed block resident."""
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(count, 1) * 8, flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=float, count=count).reshape(shape)
-
-
 class _RateSearch:
     """f(theta) = min_gamma ||y - B(theta) gamma||^2 / n and its gradient.
 
     B(theta) is the kriging basis on the knots, rows b(x)' = g(x)'U' +
-    r_A(x)'V.  The d squared-difference tensors are stacked, so a row
-    block's exponents are one matrix-vector product with theta; two n x m
-    buffers hold the correlations K and the basis B of the last gamma-step.
-    The tensors (26 MB at n = 5000, m = 80, d = 8) are memory-mapped: on
-    the heap, whether they stayed resident after the search depended on
-    where its small results landed, and the peak memory of a run moved by
-    5 to 16 MiB from one run to the next.  K and B are two arrays below
-    numpy's 4 MiB huge-page size at that shape, so their footprint does
-    not depend on whether the system grants huge pages.
+    r_A(x)'V, with the correlations K = R_XA and R_A from
+    :func:`~reconstruct.kernels.kernel_matrix`.
     """
 
     def __init__(self, X, y, knots: KnotSet, g_kind: str):
-        self.y = y
+        self.X, self.y, self.A = X, y, knots.points
         self.n, self.d = X.shape
         self.m = knots.m
-        A = knots.points
-        self.DX = _unheaped(self.d, self.n, self.m)
-        self.DA = np.empty((self.d, self.m, self.m))
-        for l in range(self.d):
-            for P, D in ((X, self.DX), (A, self.DA)):
-                np.square(np.subtract(P[:, l, None], A[None, :, l], out=D[l]), out=D[l])
-        self.GX, self.GA = regression_matrix(g_kind, X), regression_matrix(g_kind, A)
-        self._K, self._B = np.empty((self.n, self.m)), np.empty((self.n, self.m))
-        rows = max(1, CACHE_BLOCK_FLOATS // self.m)
-        self._blocks = [(s, min(s + rows, self.n)) for s in range(0, self.n, rows)]
-        self._M = np.empty((min(rows, self.n), self.m))
+        # the squared knot lags (a_il - a_kl)**2, l = 1..d, for the gradient
+        self.DA = np.square(self.A.T[:, :, None] - self.A.T[:, None, :])
+        self.GX, self.GA = regression_matrix(g_kind, X), regression_matrix(g_kind, self.A)
         self.theta = None
 
     def gamma_step(self, theta):
         """f(theta) and gamma_hat(theta) by one exact least-squares solve;
         the arrays they come from stay for :meth:`gradient`."""
         theta = np.array(theta, dtype=float)
-        RA = np.exp(-np.tensordot(theta, self.DA, 1))
+        spec = gaussian_kernel(theta)
+        # dropped first, so that the last step's K and the new one are never both held
+        self._RX = None
+        RA = kernel_matrix(spec, self.A, self.A)
         fac = spd_factor(RA)
         Ut, V = fac.gls(self.GA, np.eye(self.m))
-        K, B = self._K, self._B
-        for s, e in self._blocks:
-            np.matmul(theta, self.DX[:, s:e].reshape(self.d, -1), out=K[s:e].reshape(-1))
-            np.exp(np.negative(K[s:e], out=K[s:e]), out=K[s:e])
-            np.matmul(K[s:e], V, out=B[s:e])
-            B[s:e] += self.GX[s:e] @ Ut
+        K = kernel_matrix(spec, self.X, self.A)
+        # B = K V + G_X U', with G_X U' added in place (BLAS beta = 1 on the
+        # Fortran-ordered B') rather than through an n x m temporary
+        B = dgemm(1.0, Ut.T, self.GX.T, beta=1.0, c=(K @ V).T, overwrite_c=True).T
         facB = _normal_factor(B.T @ B)
         gamma = facB.solve(B.T @ self.y)
         r = self.y - B @ gamma
         self.theta, self.gamma, self.f = theta, gamma, float(r @ r) / self.n
-        self._fac, self._RA, self._r, self._w = fac, RA, r, V @ gamma
+        self._fac, self._RA, self._RX, self._r, self._w = fac, RA, K, r, V @ gamma
         return self.f, gamma
 
     def gradient(self) -> np.ndarray:
@@ -704,20 +679,24 @@ class _RateSearch:
         gamma_hat minimizes the residual, so the gradient of f is the slope
         with gamma held fixed (Kaufman 1975).  With gamma fixed the kriging
         coefficients solve [R_A G_A; G_A' 0][w; u] = [gamma; 0] and
-        dR/dtheta_j = -D_j o R, so (w_j', u_j') is one GLS solve on the same
-        factor with the d right-hand sides (D_A,j o R_A) w, and the residual
+        dR/dtheta_j = -D_j o R, D_j the squared lags in coordinate j, so
+        (w_j', u_j') is one GLS solve on the same factor with the d
+        right-hand sides (D_A,j o R_A) w, and the residual
         r = y - G_X u - K w moves by r_j' = (D_X,j o K) w - K w_j' - G_X u_j'.
-        The terms r'(D_X,j o K) w = <D_X,j, K o r w'> are accumulated row
-        block by row block.
+        Expanding the square (x_ij - a_kj)**2 gives
+
+            r'(D_X,j o K) w = sum_i x_ij**2 r_i (K w)_i
+                              - 2 sum_i x_ij r_i (K (w o a_j))_i
+                              + sum_k a_kj**2 w_k (K'r)_k,
+
+        one product of K with the m x (d + 1) matrix [w, w o A] besides K'r.
         """
-        K, r, w = self._K, self._r, self._w
+        X, A, K, r, w = self.X, self.A, self._RX, self._r, self._w
         du, dw = self._fac.gls(self.GA, ((self.DA * self._RA) @ w).T)
-        rdr = np.zeros(self.d)
-        for s, e in self._blocks:
-            M = np.multiply(K[s:e], r[s:e, None], out=self._M[: e - s])
-            M *= w
-            rdr += self.DX[:, s:e].reshape(self.d, -1) @ M.reshape(-1)
-        rdr -= (K.T @ r) @ dw + (self.GX.T @ r) @ du
+        KW = K @ np.column_stack([w, w[:, None] * A])
+        Kr = K.T @ r
+        rdr = (X * (X * KW[:, :1] - 2.0 * KW[:, 1:])).T @ r + (A * A).T @ (w * Kr)
+        rdr -= Kr @ dw + (self.GX.T @ r) @ du
         return 2.0 * rdr / self.n * self.theta * math.log(10.0)
 
 
@@ -803,7 +782,7 @@ def estimate_kernel_params(
                        bounds=[(-2.0, 3.0)] * search.d, options={"maxiter": max_iter})
         converged, evaluations = stopped or res.status != 1, res.nfev
     theta, gamma = kept
-    spec = KernelSpec(family="gaussian", theta=tuple(float(t) for t in theta))
+    spec = gaussian_kernel(theta)
     return KernelParamsFit(
         theta=theta.copy(),
         gamma_hat=gamma,

@@ -8,12 +8,10 @@ modified Bessel function collapses to a closed form.
 Two evaluations, for two uses:
 
 * :func:`kernel_matrix` forms every lag as a difference p - q.  Every
-  matrix that is factored, eigendecomposed or solved against comes from it
-  (knot correlations, the full-knot R, design matrices) or from the same
-  difference form: the kernel-rate search stores the squared lags
-  (p_l - q_l)**2 once and takes a row block's exponents from one
-  matrix-vector product with the rates.  The zero lag is exact, so such a
-  matrix has an exact unit diagonal and is exactly symmetric.
+  matrix that is factored, eigendecomposed or solved against comes from it:
+  knot correlations, the full-knot R, design matrices and the kernel-rate
+  search's R_XA and R_A.  The zero lag is exact, so such a matrix has an
+  exact unit diagonal and is exactly symmetric.
 * :func:`kernel_matvec` is ``kernel_matrix(spec, P, Q) @ w`` for products
   that only feed a vector, as in prediction.  For the Gaussian family it
   centres both point sets on the mean of Q and scales coordinate l by
@@ -31,6 +29,7 @@ Two evaluations, for two uses:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -177,20 +176,27 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
     (k, l) array; symmetric with unit diagonal when P is Q.
     """
     P, Q = _point_sets(spec, P, Q)
-    d = P.shape[1]
-    # Row blocks of about CACHE_BLOCK_FLOATS entries stay in cache while the
-    # d coordinate terms accumulate; every entry sees the same operations in
+    # Blocks run along the longer set, so that each numpy call covers a long
+    # row; |p - q| = |q - p| exactly, so the transpose is the same matrix.
+    swap = P.shape[0] > Q.shape[0]
+    if swap:
+        P, Q = Q, P
+    (k, d), l = P.shape, Q.shape[0]
+    # Blocks of about CACHE_BLOCK_FLOATS entries (rows of P against all of
+    # Q, or one row against a column block) stay in cache while the d
+    # coordinate terms accumulate; every entry sees the same operations in
     # the same order as a whole-array broadcast, so the result is identical.
-    out = np.empty((P.shape[0], Q.shape[0]))
+    out = np.empty((k, l))
     QT = np.ascontiguousarray(Q.T)
-    rows = max(1, CACHE_BLOCK_FLOATS // Q.shape[0])
+    cols = min(l, CACHE_BLOCK_FLOATS)
+    rows = max(1, CACHE_BLOCK_FLOATS // cols)
     c = None if spec.family == "gaussian" else 2.0 * math.sqrt(spec.nu) / spec.phi
     # one temporary per block; Matern also needs two for _matern_1d
-    bufs = np.empty((1 if c is None else 3, min(rows, P.shape[0]), Q.shape[0]))
-    for s in range(0, P.shape[0], rows):
-        Pb, acc = P[s : s + rows], out[s : s + rows]
-        k = acc.shape[0]
-        tb = bufs[0, :k]
+    bufs = np.empty((1 if c is None else 3, min(rows, k), cols))
+    for s, t in itertools.product(range(0, k, rows), range(0, l, cols)):
+        Pb, Qb, acc = P[s : s + rows], QT[:, t : t + cols], out[s : s + rows, t : t + cols]
+        blk = bufs[:, : acc.shape[0], : acc.shape[1]]
+        tb = blk[0]
         # a lag too large to form or to square gives inf, and the kernel
         # value there is the correct 0: exp(-inf), or _matern_1d's clamp
         with np.errstate(over="ignore"):
@@ -198,7 +204,7 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
                 # acc = sum_j theta_j (p_j - q_j)^2, then exp(-acc)
                 acc.fill(0.0)
                 for j in range(d):
-                    np.subtract(Pb[:, j, None], QT[j], out=tb)
+                    np.subtract(Pb[:, j, None], Qb[j], out=tb)
                     np.square(tb, out=tb)
                     np.multiply(spec.theta[j], tb, out=tb)
                     acc += tb
@@ -207,11 +213,11 @@ def kernel_matrix(spec: KernelSpec, P, Q) -> np.ndarray:
             else:
                 acc.fill(1.0)
                 for j in range(d):
-                    np.subtract(Pb[:, j, None], QT[j], out=tb)
+                    np.subtract(Pb[:, j, None], Qb[j], out=tb)
                     np.abs(tb, out=tb)
                     np.multiply(c, tb, out=tb)
-                    acc *= _matern_1d(tb, spec.nu, out=bufs[1, :k], tmp=bufs[2, :k])
-    return out
+                    acc *= _matern_1d(tb, spec.nu, out=blk[1], tmp=blk[2])
+    return np.ascontiguousarray(out.T) if swap else out
 
 
 def kernel_matvec(spec: KernelSpec, P, Q, w) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import resource
 
 import mpmath
 import numpy as np
@@ -16,8 +17,8 @@ from reconstruct.baselines import (
     fit_nystrom,
     fit_spgp,
 )
-from reconstruct import baselines, estimators, interpolators, numerics
-from reconstruct.benchmarks import simulate
+from reconstruct import baselines, estimators, interpolators, kernels, numerics
+from reconstruct.benchmarks import _map_indexed, simulate
 from reconstruct.designs import equispaced_knots, replication_design
 from reconstruct.errors import (
     BadSchema,
@@ -396,6 +397,21 @@ class TestReplicationFit:
             fit_replication(replication_design(np.array([0.1, 0.9]), 2), np.ones(3), "spline")
 
 
+def _rate_search_rss_rise(_config, _index):
+    """Rise of the peak resident set, in bytes, over one rate-search
+    iteration at n = 20000, m = 40, d = 16."""
+    rng = np.random.default_rng(1234)
+    n, m, d = 20000, 40, 16
+    X = rng.random((n, d))
+    y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.2 * rng.normal(size=n)
+    A = X[:m]
+    # warm: scipy.optimize's import and the BLAS buffers are not the search's
+    estimate_kernel_params(X[:200], y[:200], A, "constant+linear", max_iter=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    estimate_kernel_params(X, y, A, "constant+linear", max_iter=1)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024  # KiB on Linux
+
+
 class _MpObjective:
     """f(theta) = min_gamma ||y - B(theta) gamma||^2 / n in 40-digit arithmetic.
 
@@ -580,7 +596,8 @@ class TestKernelParamEstimation:
         y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.2 * r.normal(size=150)
         A = separated_points(r, 12, 3)
         if block_rows:
-            monkeypatch.setattr(estimators, "CACHE_BLOCK_FLOATS", block_rows * 12)
+            # kernel_matrix blocks the 12 knot rows against the 150 points
+            monkeypatch.setattr(kernels, "CACHE_BLOCK_FLOATS", block_rows * 150)
         search = estimators._RateSearch(X, y, KnotSet(A), g_kind)
         G, GA = regression_matrix(g_kind, X), regression_matrix(g_kind, A)
         base = np.log10([3.0, 20.0, 0.5])
@@ -601,6 +618,12 @@ class TestKernelParamEstimation:
                     central = (search.gamma_step(10.0 ** (x + e))[0]
                                - search.gamma_step(10.0 ** (x - e))[0]) / (2 * h)
                     assert grad[k] == pytest.approx(central, rel=1e-6, abs=1e-9)
+
+    def test_memory_stays_a_few_n_by_m_arrays(self):
+        # one spawned worker on one BLAS thread, so the peak is the search's
+        # alone; half of what a stored d x n x m lag tensor would take
+        n, m = 20000, 40
+        assert _map_indexed(_rate_search_rss_rise, None, 1, 1)[0] < 8 * n * m * 8
 
     @settings(max_examples=25, deadline=None)
     @given(

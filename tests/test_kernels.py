@@ -205,6 +205,7 @@ class TestBlockedKernelMatrix:
         with mock.patch.object(kernels, "CACHE_BLOCK_FLOATS", floats):
             K = kernel_matrix(spec, P, Q)
         _assert_bitwise_equal(K, _kernel_matrix_broadcast(spec, P, Q))
+        assert K.flags.c_contiguous
 
     @pytest.mark.parametrize("family", ["gaussian", 0.5, 1.5, 2.5])
     @pytest.mark.parametrize("k, l", [(1, 300), (1, 2**15 + 3), (3, 2**15 + 3), (410, 80), (2000, 97)])
@@ -213,7 +214,9 @@ class TestBlockedKernelMatrix:
         rng = np.random.default_rng(k + l)
         P, Q = rng.random((k, 3)), rng.random((l, 3))
         spec = _spec(family, 3, rng)
-        _assert_bitwise_equal(kernel_matrix(spec, P, Q), _kernel_matrix_broadcast(spec, P, Q))
+        K = kernel_matrix(spec, P, Q)
+        _assert_bitwise_equal(K, _kernel_matrix_broadcast(spec, P, Q))
+        assert K.flags.c_contiguous
 
 
 def _matvec(spec, P, Q, w, rows=None):
