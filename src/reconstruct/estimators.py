@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import eigh_tridiagonal, lapack, solve_triangular
 from scipy.linalg.blas import dgemm
 
 from .designs import ReplicationDesign
@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     LengthMismatch,
     NonFiniteInput,
+    RankDeficientRegression,
     ReconstructError,
     SingularSystem,
 )
@@ -389,9 +390,19 @@ def _kriging_spectrum(R, G, y):
     restricted to the orthogonal complement of the trend columns G.  With
     a thin QR of G, the trend directions of the projected R are given the
     eigenvalue 1 + trace(R), above all others, which keeps them apart from
-    the near-null directions of R; one ``eigh`` then gives the complement's
-    eigenbasis V and the eigenvalues d of the projected R on it as its
-    first n - q eigenpairs.  With no trend this is plain ``eigh(R)``.
+    the near-null directions of R; the complement's eigenvalues d are then
+    the first n - q eigenvalues of the projected matrix Rp.  With no trend
+    Rp is R.
+
+    The eigenvectors V of Rp are never formed: GCV needs only d and
+    z = V'y, and the coefficients only V times one vector.  Householder
+    tridiagonalization (LAPACK ``dsytrd``) gives Rp = Q T Q', with Q the
+    product of n - 1 reflectors; divide and conquer on T (``stevd``) gives
+    T = S diag(evals) S'.  So V = Q S, and z = S'(Q'y) and V u = Q(S u)
+    each apply the reflectors to one vector (``dormqr``) in O(n^2), where
+    forming V would cost about 2n^3.  The MRRR kernel of ``eigh``
+    (``stemr``) puts less error on the eigenvalues near n*lam, which shows
+    in GCV at the grid's low end, but took twice as long at n = 200.
 
     Returns the spectrum and ``coefficients(lam) -> (beta, c, gamma)``:
     the prediction is g(x)'beta + r_X(x)'c and gamma are the fitted values.
@@ -403,14 +414,28 @@ def _kriging_spectrum(R, G, y):
         RQ = R @ Q1
         shift = (1.0 + np.trace(R)) * np.eye(q)
         Rp = R - RQ @ Q1.T - Q1 @ RQ.T + Q1 @ (Q1.T @ RQ + shift) @ Q1.T
-    evals, V = eigh(Rp)
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    packed, diag, offdiag, tau, _ = lapack.dsytrd(Rp, lower=1, lwork=lwork)
+    evals, S = eigh_tridiagonal(diag, offdiag, lapack_driver="stevd")
     d = np.clip(evals[: n - q], 0.0, None)
-    V = V[:, : n - q]
-    z = V.T @ y
+    S = S[:, : n - q]
+    # Q = diag(1, Q'') with the reflectors of Q'' stored below the diagonal
+    # of the trailing block, as in the QR factor of that block
+    reflectors = np.asfortranarray(packed[1:, : n - 1])
+
+    def apply_q(v, trans):
+        out = v.copy()
+        if n > 1:
+            # lwork 1 selects the unblocked kernel: on one column it took a
+            # third of the blocked kernel's time
+            out[1:] = lapack.dormqr("L", trans, reflectors, tau, v[1:, None], 1)[0][:, 0]
+        return out
+
+    z = S.T @ apply_q(y, "T")
 
     def coefficients(lam):
         nl = n * lam
-        c = V @ (z / (d + nl))
+        c = apply_q(S @ (z / (d + nl)), "N")
         gamma = y - nl * c
         # y - K c lies in the column space of G: it is G beta
         beta = solve_triangular(Rg, Q1.T @ (gamma - R @ c)) if q else np.zeros(0)
@@ -430,6 +455,10 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
     """
     n = X.shape[0]
     G = regression_matrix(g_kind, X)
+    if 0 < n <= G.shape[1]:
+        raise RankDeficientRegression(
+            f"need more knots ({n}) than regression functions ({G.shape[1]})"
+        )
     R = kernel_matrix(spec, X, X)
     lam, grid = _lambda_plan(lambda_policy, grid, n)
     tuned, jitter = FitDiagnostics(), 0.0

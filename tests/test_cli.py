@@ -201,6 +201,14 @@ class TestFitPredict:
         if values:
             _assert_bitwise(np.loadtxt(pred_csv, skiprows=1, ndmin=1), preds)
 
+    def test_full_knot_trend_on_too_few_rows_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("x1,x2,y\n0.1,0.2,1.0\n0.7,0.4,2.0\n")
+        rc = dispatch(["fit", "--data", str(data), "--method", "gpr", "--lambda", "0.1",
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "need more knots (2) than regression functions (3)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
     def test_fit_without_header_is_data_error(self, tmp_path, text, capsys):
         data = tmp_path / "empty.csv"

@@ -6,7 +6,7 @@ import resource
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reconstruct.baselines import (
     VarianceParams,
@@ -26,6 +26,7 @@ from reconstruct.errors import (
     LengthMismatch,
     NonFiniteInput,
     NotPositiveDefinite,
+    RankDeficientRegression,
     SingularSystem,
 )
 from reconstruct.estimators import (
@@ -1025,6 +1026,16 @@ class TestLambdaPolicy:
         with pytest.raises(ValueError, match=f"not {entry!r}$"):
             fit_krr(X, y, _XY_SPEC, "gcv", [1e-3, entry, 1e-1])
 
+    @pytest.mark.parametrize("policy", ["gcv", "auto", "none", 0.1])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["fit_gpr", "fit_gprr"])
+    def test_full_knot_trend_needs_more_points_than_columns(self, tuned_data, name, n, policy):
+        # q = 3 trend columns in d = 2: the GLS trend is not identified
+        X, y = tuned_data
+        with pytest.raises(RankDeficientRegression, match=rf"need more knots \({n}\) than "
+                                                          r"regression functions \(3\)"):
+            _TUNED_FITS[name](X[:n], y[:n], policy)
+
     def test_auto_is_zero_with_few_knot_values(self, tuned_data):
         X, y = tuned_data
         assert fit_gprr(X, y, X[:6], _XY_SPEC, "constant+linear", "auto").lam == 0.0
@@ -1125,3 +1136,36 @@ class TestGcvEngineProperties:
     def test_curve_matches_brute_force(self, builder, seed, n):
         curve, brute = builder(np.random.default_rng(seed), n)
         np.testing.assert_allclose(curve, brute, rtol=1e-8)
+
+
+class TestTunedCoefficients:
+    """The coefficients at the GCV pick, taken from the spectrum GCV
+    searched, are those of the fixed-lambda fit at the same lambda (one
+    Cholesky factor and its GLS solve)."""
+
+    @pytest.mark.parametrize("g_kind", ["none", "constant", "constant+linear"],
+                             ids=["krr", "gpr-constant", "gpr"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 39),
+           noise=st.sampled_from([0.01, 1.0]))
+    @example(seed=0, extra=0, noise=0.01)
+    @example(seed=0, extra=1, noise=1.0)
+    def test_gcv_pick_matches_fixed_lambda_fit(self, g_kind, seed, extra, noise):
+        rng = np.random.default_rng(seed)
+        q = regression_matrix(g_kind, np.zeros((1, 2))).shape[1]
+        # from q + 1 points, the fewest that identify the trend, to 40
+        n = min(q + 1 + extra, 40)
+        X = rng.random((n, 2))
+        y = np.sin(6 * X[:, 0]) + noise * rng.normal(size=n)
+        spec = default_gaussian(2)
+        if g_kind == "none":
+            fit = lambda policy: fit_krr(X, y, spec, policy)
+        else:
+            fit = lambda policy: fit_gpr(X, y, spec, g_kind, policy)
+        tuned = fit("gcv")
+        fixed = fit(tuned.lam)
+        assert fixed.diagnostics.gcv is None and fixed.diagnostics.jitter == 0.0
+        # krr is stored without a trend: its beta is None
+        for field in ("w", "gamma_hat") if g_kind == "none" else ("beta", "w", "gamma_hat"):
+            got, expect = getattr(tuned, field), getattr(fixed, field)
+            assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect), field
