@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateData, SingularSystem, NotPositiveDefinite
 from .estimators import (
@@ -66,6 +65,8 @@ def _whitened_cross(X, A, spec):
     P P' = R_XA R_A^{-1} R_XA' is the low-rank surrogate of the Gram matrix
     that every low-rank baseline uses.
     """
+    from scipy.linalg import solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     knots = as_knots(A)
     facA = spd_factor(kernel_matrix(spec, knots.points, knots.points))
     P = solve_triangular(facA.factor, kernel_matrix(spec, X, knots.points).T, lower=True).T
@@ -135,6 +136,8 @@ def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:
     whitened coordinates gamma = L_A v this is the m x m ridge system
     (P'WP + I/tau^2) v = P'Wy, and the kernel weights are w = L_A^{-T} v.
     """
+    from scipy.linalg import solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     X, y = _as_xy(X, y)
     knots, facA, P = _whitened_cross(X, A, spec)
     r = _residual_diag(P) if method == "spgp" else np.zeros(X.shape[0])

@@ -10,16 +10,13 @@ the canonical report payload for the same reason.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .baselines import estimate_variances, fit_gpr, fit_nystrom, fit_spgp
 from .designs import (
@@ -162,6 +159,8 @@ class Dataset:
 
 
 def _normal_from_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
+    from scipy.special import ndtri  # deferred: ~0.25 s, ~23 MiB to import scipy.special
+
     # inverse-CDF transform of the seeded uniform stream; clipping the
     # open-interval edges keeps the quantile finite
     u = np.clip(rng.random(size), 1e-15, 1.0 - 1e-16)
@@ -379,6 +378,9 @@ _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def _map_indexed(fn, config, count, jobs):
+    import multiprocessing  # deferred: ~13 ms to import with concurrent.futures
+    from concurrent.futures import ProcessPoolExecutor
+
     # Every repetition, jobs=1 included, runs in a spawned worker on one
     # BLAS thread, so a report's digits do not depend on the caller's
     # thread count.  A spawned child reads these variables when it loads

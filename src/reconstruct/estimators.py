@@ -27,8 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack, solve_triangular
-from scipy.linalg.blas import dgemm
 
 from .designs import ReplicationDesign
 from .errors import (
@@ -41,6 +39,7 @@ from .errors import (
     SingularSystem,
 )
 from .interpolators import (
+    G_KINDS,
     GPBasis,
     KnotSet,
     SplineCoefficients,
@@ -198,6 +197,8 @@ def model_from_json(obj: dict) -> FittedModel:
     the interpolator's name, each array's shape against the knots and its
     entries for NaN or inf, and the fields each interpolator needs.  A bad
     field raises ``BadSchema`` naming it."""
+    if not isinstance(obj, dict):
+        raise BadSchema("model file must hold a JSON object")
     interpolator = obj.get("interpolator")
     if interpolator not in _INTERPOLATORS:
         raise BadSchema(
@@ -219,13 +220,15 @@ def model_from_json(obj: dict) -> FittedModel:
     if kernel is not None and kernel.d not in (None, knots.d):
         raise BadSchema(f"model field 'kernel' has {kernel.d} rates, knots have {knots.d} coordinates")
     g_kind = obj.get("g_kind")
+    if g_kind not in (None, *G_KINDS):
+        raise BadSchema(f"model field 'g_kind' is {g_kind!r}; expected one of {G_KINDS}")
     q = regression_matrix(g_kind or "none", knots.points[:1]).shape[1]
 
     def arr(name, size):
         v = obj.get(name)
         if v is None:
             return None
-        a = np.asarray(v, dtype=float)
+        a = read(name, lambda v: np.asarray(v, dtype=float))
         if a.shape != (size,):
             raise BadSchema(f"model field {name!r} has shape {a.shape}, expected ({size},)")
         bad = np.count_nonzero(~np.isfinite(a))
@@ -244,7 +247,9 @@ def model_from_json(obj: dict) -> FittedModel:
             raise BadSchema(
                 f"model field 'knots' has {knots.d} coordinates; a {interpolator} model has 1"
             )
-    diag = obj.get("diagnostics") or {}
+    diag = {} if obj.get("diagnostics") is None else obj["diagnostics"]
+    if not isinstance(diag, dict):
+        raise BadSchema("model field 'diagnostics' must hold a JSON object")
     return FittedModel(
         interpolator=interpolator,
         knots=knots,
@@ -407,6 +412,8 @@ def _kriging_spectrum(R, G, y):
     Returns the spectrum and ``coefficients(lam) -> (beta, c, gamma)``:
     the prediction is g(x)'beta + r_X(x)'c and gamma are the fitted values.
     """
+    from scipy.linalg import eigh_tridiagonal, lapack, solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     n, q = G.shape
     Rp = R
     if q:
@@ -684,6 +691,8 @@ class _RateSearch:
     def gamma_step(self, theta):
         """f(theta) and gamma_hat(theta) by one exact least-squares solve;
         the arrays they come from stay for :meth:`gradient`."""
+        from scipy.linalg.blas import dgemm  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
         theta = np.array(theta, dtype=float)
         spec = gaussian_kernel(theta)
         # dropped first, so that the last step's K and the new one are never both held
@@ -763,7 +772,7 @@ def estimate_kernel_params(
         raise DimensionMismatch("theta0 must have one rate per coordinate")
     if not np.all(np.isfinite(theta0) & (theta0 > 0)):
         raise ValueError("theta0 must hold positive, finite rates")
-    from scipy.optimize import minimize  # deferred: ~0.2 s, ~19 MiB to import
+    from scipy.optimize import minimize  # deferred: ~0.4 s, ~47 MiB to import scipy.optimize
 
     search = _RateSearch(X, y, knots, g_kind)
     f0, gamma = search.gamma_step(theta0)

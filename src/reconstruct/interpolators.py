@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import (
     DimensionMismatch,
@@ -96,7 +95,7 @@ def lagrange_eval(knots, gamma, x):
     generator keeps the result reproducible and the global ``np.random``
     stream untouched.
     """
-    from scipy.interpolate import BarycentricInterpolator  # deferred: ~0.3 s, ~21 MiB to import
+    from scipy.interpolate import BarycentricInterpolator  # deferred: ~0.4 s, ~49 MiB to import scipy.interpolate
 
     knots = np.asarray(knots, dtype=float).ravel()
     gamma = np.asarray(gamma, dtype=float).ravel()
@@ -135,13 +134,15 @@ def _second_derivatives(knots, gamma, boundary):
         if m == 3:
             interior = rhs / ((h[0] + h[1]) / 3.0)
         else:
+            from scipy.linalg import solveh_banded  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
             ab = np.zeros((2, m - 2))
             ab[1, :] = (h[:-1] + h[1:]) / 3.0
             ab[0, 1:] = h[1:-1] / 6.0
             interior = solveh_banded(ab, rhs)
         return np.concatenate([[0.0], interior, [0.0]])
     if boundary == "not-a-knot":
-        from scipy.interpolate import CubicSpline  # deferred: ~0.3 s, ~21 MiB to import
+        from scipy.interpolate import CubicSpline  # deferred: ~0.4 s, ~49 MiB to import scipy.interpolate
 
         return CubicSpline(knots, gamma, bc_type="not-a-knot")(knots, 2)
     raise ValueError(f"unknown boundary {boundary!r}")

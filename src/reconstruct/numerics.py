@@ -30,14 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    cho_factor,
-    cho_solve_banded,
-    cholesky_banded,
-    eigh,
-    solve_triangular,
-)
-from scipy.linalg.blas import dtrsm
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem
 
@@ -69,6 +61,8 @@ class SpdFactorization:
         thin QR of L^{-1}G and w from one back-solve with L', so neither
         A^{-1} nor G'A^{-1}G is formed.  ``Y`` may be a vector or a matrix.
         """
+        from scipy.linalg.blas import dtrsm  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
         G = np.asarray(G, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if G.shape[0] != self.dimension or Y.shape[0] != self.dimension:
@@ -109,6 +103,8 @@ def _normal_factor(N: np.ndarray) -> SpdFactorization:
 
 def spd_factor(A: np.ndarray) -> SpdFactorization:
     """Cholesky-factor a symmetric matrix, escalating jitter as needed."""
+    from scipy.linalg import cho_factor  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {A.shape}")
@@ -157,6 +153,8 @@ def fdp_system(n: int, lam: float) -> np.ndarray:
 def banded_spd_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs in O(n) for a banded SPD matrix A in LAPACK upper
     band storage ``ab`` of shape (bandwidth + 1, n)."""
+    from scipy.linalg import cho_solve_banded  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != ab.shape[1]:
         raise DimensionMismatch(
@@ -167,6 +165,8 @@ def banded_spd_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _banded_factor(ab: np.ndarray) -> np.ndarray:
     """Upper banded Cholesky factor U (U'U = A) in the storage of ``ab``."""
+    from scipy.linalg import cholesky_banded  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     try:
         return cholesky_banded(ab)
     except np.linalg.LinAlgError as exc:
@@ -218,6 +218,8 @@ def demmler_reinsch(B, Sigma, y):
     gamma = (B'B + n*lam*Sigma)^{-1} B'y = W z / (1 + n*lam*mu), z = W'B'y,
     and the jitter put on B'B.
     """
+    from scipy.linalg import eigh, solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
     B = np.asarray(B, dtype=float)
     Sigma = np.asarray(Sigma, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -300,7 +302,7 @@ def fdp_residual_and_trace(y, lam):
     6 n*lam + 1 rounds to 6 n*lam.  Lambdas are taken one at a time, so
     each entry of a grid equals a call with that lambda alone.
     """
-    from scipy.fft import dct  # deferred: keeps scipy.fft out of the package import
+    from scipy.fft import dct  # deferred: ~0.25 s, ~24 MiB to import scipy.fft
 
     y = np.asarray(y, dtype=float).ravel()
     n = y.shape[0]

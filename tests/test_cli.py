@@ -350,6 +350,33 @@ class TestFitPredict:
         assert rc == 2
         assert "'w'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "inspect"])
+    @pytest.mark.parametrize("damage,named", [
+        (lambda doc: list(doc), "model file must hold a JSON object"),
+        (lambda doc: "model", "model file must hold a JSON object"),
+        (lambda doc: dict(doc, diagnostics=[1.0]), "model field 'diagnostics'"),
+        (lambda doc: dict(doc, g_kind="bogus"), "model field 'g_kind'"),
+        (lambda doc: dict(doc, w={"a": 1.0}), "model field 'w'"),
+        (lambda doc: dict(doc, beta="abc"), "model field 'beta'"),
+    ], ids=["list", "string", "diagnostics-list", "unknown-g-kind", "w-object", "beta-string"])
+    def test_malformed_model_is_data_error(self, tmp_path, train_csv, capsys, command, damage,
+                                           named):
+        path, _, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "gprr", "--m", "10",
+                         "--seed", "7", "--out", str(out)]) == 0
+        out.write_text(json.dumps(damage(json.loads(out.read_text()))))
+        pts, pred = tmp_path / "pts.csv", tmp_path / "pred.csv"
+        pts.write_text("x1,x2\n0.5,0.5\n")
+        capsys.readouterr()
+        argv = ["--data", str(pts), "--out", str(pred)] if command == "predict" else []
+        assert dispatch([command, "--model", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {named}")
+        assert not pred.exists()
+
     def test_predict_rejects_non_finite_query(self, tmp_path, train_csv, capsys):
         path, _, _ = train_csv
         out = tmp_path / "model.json"
@@ -756,19 +783,46 @@ class TestMoreSurfaces:
 
 
 class TestPackageImport:
-    def test_deferred_scipy_modules_stay_unloaded(self):
-        # scipy.fft, scipy.interpolate and scipy.optimize are imported at the
-        # call that needs them, so the package import does not pay for them
+    @staticmethod
+    def _run_fresh(code, *args):
+        """Run ``code`` in a fresh interpreter that imports this package;
+        return its standard output."""
         src = os.path.dirname(os.path.dirname(reconstruct.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import sys, reconstruct, reconstruct.cli; "
-            "print(' '.join(m for m in ('scipy.fft', 'scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))"
-        )
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        out = subprocess.run([sys.executable, "-c", code, *args],
+                             env=dict(os.environ, PYTHONPATH=path),
                              check=True, capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == ""
+        return out.stdout.strip()
+
+    # prints the loaded scipy modules after a ``scipy:`` marker
+    _SCIPY_LOADED = ("print('scipy:', *(m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')))")
+
+    def test_deferred_scipy_modules_stay_unloaded(self):
+        # every scipy import sits in the function that needs it, so the
+        # package import loads numpy only
+        assert self._run_fresh("import sys, reconstruct, reconstruct.cli; "
+                               + self._SCIPY_LOADED) == "scipy:"
+
+    def test_predict_and_inspect_load_no_scipy(self, tmp_path, train_csv, capsys):
+        # a kernel or kriging prediction is numpy work only; a fresh process
+        # writes the same bytes as an in-process dispatch
+        path, _, _ = train_csv
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", "gprr", "--m", "10",
+                         "--seed", "7", "--out", str(model)]) == 0
+        pts = tmp_path / "pts.csv"
+        Xs = np.random.default_rng(6).random((25, 2))
+        pts.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in Xs.tolist()))
+        here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+        assert dispatch(["predict", "--model", str(model), "--data", str(pts),
+                         "--out", str(here)]) == 0
+        code = ("import sys; from reconstruct.cli import dispatch; "
+                "assert dispatch(sys.argv[1:]) == 0; " + self._SCIPY_LOADED)
+        for argv in (["predict", "--model", str(model), "--data", str(pts), "--out", str(fresh)],
+                     ["inspect", "--model", str(model)]):
+            assert self._run_fresh(code, *argv).splitlines()[-1] == "scipy:", argv[0]
+        assert fresh.read_bytes() == here.read_bytes()
 
     def test_cli_imports_no_private_package_name(self):
         # the command line reaches the package through its public names only
