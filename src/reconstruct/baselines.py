@@ -6,7 +6,8 @@ The low-rank paths (Nystrom, SPGP, quasi-posterior, variance search)
 all start from one whitened cross-kernel P = R_XA L_A^{-T} and work
 entirely with n x m and m x m arrays; no n x n matrix and no inverse of
 R_A is formed.  Nystrom's spectrum is the Demmler-Reinsch spectrum of the
-basis [G_X, P]; SPGP and the quasi-posterior share one m x m ridge solve.
+basis [G_X, P]; SPGP, the quasi-posterior and every noise-to-signal ratio
+of the variance search solve one m x m system, I + P'diag(1/(r + rho))P.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateData, SingularSystem, NotPositiveDefinite
+from .errors import DegenerateData, SingularSystem
 from .estimators import (
     FitDiagnostics,
     FittedModel,
@@ -126,25 +127,31 @@ def fit_nystrom(
     )
 
 
+def _ratio_system(P, r, rho, y):
+    """u = 1 / (r + rho), the factor of I + P'diag(u)P and h = P'(u*y)."""
+    u = 1.0 / (r + rho)
+    fac = _normal_factor(np.eye(P.shape[1]) + (P * u[:, None]).T @ P)
+    return u, fac, P.T @ (u * y)
+
+
 def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:
     """Knot values of the sparse GP ("spgp") or the quasi-posterior ("eb").
 
     With residual weights W = diag(1 / (tau^2 r + sigma^2)), r the dropped
     variance of :func:`_residual_diag` for the sparse GP and zero for the
     quasi-posterior, the knot values minimize the W-weighted least squares
-    plus the kernel-norm penalty gamma'R_A^{-1}gamma / tau^2.  In the
-    whitened coordinates gamma = L_A v this is the m x m ridge system
-    (P'WP + I/tau^2) v = P'Wy, and the kernel weights are w = L_A^{-T} v.
+    plus the kernel-norm penalty gamma'R_A^{-1}gamma / tau^2: in whitened
+    coordinates gamma = L_A v, (P'WP + I/tau^2) v = P'Wy and w = L_A^{-T} v.
+    That system is 1/tau^2 times :func:`_ratio_system`'s at rho = sigma^2 /
+    tau^2 (the FITC identity of Snelson & Ghahramani 2006).
     """
     from scipy.linalg import solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
 
     X, y = _as_xy(X, y)
     knots, facA, P = _whitened_cross(X, A, spec)
     r = _residual_diag(P) if method == "spgp" else np.zeros(X.shape[0])
-    weights = 1.0 / (vp.tau2 * r + vp.sigma2)
-    S = P.T @ (weights[:, None] * P) + np.eye(knots.m) / vp.tau2
-    facS = _normal_factor(0.5 * (S + S.T))
-    v = facS.solve(P.T @ (weights * y))
+    _, fac, h = _ratio_system(P, r, vp.ridge_weight, y)
+    v = fac.solve(h)
     return FittedModel(
         interpolator="kernel",
         knots=knots,
@@ -155,17 +162,13 @@ def _sparse_gp_fit(X, y, A, spec, vp: VarianceParams, method) -> FittedModel:
         beta=None,
         w=solve_triangular(facA.factor, v, lower=True, trans="T"),
         method=method,
-        diagnostics=FitDiagnostics(jitter=max(facA.jitter_applied, facS.jitter_applied)),
+        diagnostics=FitDiagnostics(jitter=max(facA.jitter_applied, fac.jitter_applied)),
     )
 
 
 def fit_spgp(X, y, A, spec: KernelSpec, vp: VarianceParams) -> FittedModel:
-    """Sparse pseudo-input GP with the diagonal residual correction.
-
-    Knot values minimize the residual-weighted least squares plus the
-    kernel-norm penalty scaled by the noise-to-signal ratio; prediction
-    is the kernel interpolant through the estimated knot values.
-    """
+    """Sparse pseudo-input GP with the diagonal residual correction (FITC);
+    prediction is the kernel interpolant through the estimated knot values."""
     return _sparse_gp_fit(X, y, A, spec, vp, "spgp")
 
 
@@ -183,41 +186,37 @@ def estimate_variances(X, y, A, spec: KernelSpec) -> VarianceParams:
     """Grid search maximizing the sparse-GP marginal likelihood of y.
 
     Both variances run over ``_VARIANCE_GRID_POINTS`` log-spaced values
-    spanning [1e-4, 1e4] times var(y).  The likelihood depends on the
-    noise-to-signal ratio through one m x m system per distinct ratio, so
-    the 400-cell grid costs only 2 * 20 - 1 such systems.
+    spanning [1e-4, 1e4] times var(y).  Cell (grid[i], grid[j]) sees the
+    ratio rho = grid[j] / grid[i] only through y'C^{-1}y and log det C,
+    C = P P' + diag(r) + rho I, which one loop over the 2 * 20 - 1 ratios
+    takes from :func:`_ratio_system` (Woodbury and the determinant lemma).
+    The 400-cell search reads them; the first maximum wins.
     """
     X, y = _as_xy(X, y)
     n = X.shape[0]
     vy = float(np.var(y))
     if vy <= 0.0:
         raise DegenerateData("response has zero variance")
-    knots, _, P = _whitened_cross(X, A, spec)
-    m = knots.m
-    lam_diag = _residual_diag(P)
-    grid = np.logspace(-4.0, 4.0, _VARIANCE_GRID_POINTS) * vy
-    # cache per distinct ratio index difference: rho = grid[i] / grid[j]
-    cache: dict[int, tuple[float, float]] = {}
-    best = (-math.inf, 0, 0)
+    _, _, P = _whitened_cross(X, A, spec)
+    r = _residual_diag(P)
+    k = _VARIANCE_GRID_POINTS
+    grid = np.logspace(-4.0, 4.0, k) * vy
+    stats = {}  # j - i -> (quad, logdet); quad is NaN where undefined
+    for key in range(1 - k, k):
+        i = max(0, -key)  # the ratio as its first cell in row-major order has it
+        rho = grid[i + key] / grid[i]
+        try:
+            u, fac, h = _ratio_system(P, r, rho, y)
+        except SingularSystem:
+            stats[key] = (math.nan, math.nan)
+            continue
+        quad = float(y * u @ y) - float(h @ fac.solve(h))
+        logdet = float(np.sum(np.log(r + rho))) + fac.logdet()
+        stats[key] = (quad if np.isfinite(quad) else math.nan, logdet)
+    best = (-math.inf, 0, 0)  # a NaN log-likelihood never compares greater
     for i, t2 in enumerate(grid):  # tau^2
-        for j, s2 in enumerate(grid):  # sigma^2
-            key = j - i
-            if key not in cache:
-                rho = s2 / t2
-                u = 1.0 / (lam_diag + rho)
-                Gm = (P * u[:, None]).T @ P
-                h = P.T @ (u * y)
-                try:
-                    fac = spd_factor(np.eye(m) + Gm)
-                except NotPositiveDefinite:
-                    cache[key] = (math.inf, math.inf)
-                else:
-                    quad = float(y * u @ y) - float(h @ fac.solve(h))
-                    logdet = float(np.sum(np.log(lam_diag + rho))) + fac.logdet()
-                    cache[key] = (quad, logdet)
-            quad, logdet = cache[key]
-            if not np.isfinite(quad):
-                continue
+        for j in range(k):  # sigma^2
+            quad, logdet = stats[j - i]
             ll = -0.5 * (n * math.log(2.0 * math.pi) + n * math.log(t2) + logdet + quad / t2)
             if ll > best[0]:
                 best = (ll, i, j)

@@ -76,21 +76,13 @@ def _weighted_sphere(X):
     return X**2 @ np.arange(1.0, d + 1.0)
 
 
-def _ackley_printed(X):
-    # second exponential acts on the plain coordinate mean, not its cosine
-    d = X.shape[1]
+def _ackley(X, standard):
+    # the printed form's second exponential acts on the plain coordinate
+    # mean, the standard form's on the mean of the cosines
+    inner = np.cos(2.0 * np.pi * X) if standard else 2.0 * np.pi * X
     return (
         -20.0 * np.exp(-0.2 * np.sqrt(np.mean(X**2, axis=1)))
-        - np.exp(np.mean(2.0 * np.pi * X, axis=1))
-        + 20.0
-        + math.e
-    )
-
-
-def _ackley_standard(X):
-    return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.mean(X**2, axis=1)))
-        - np.exp(np.mean(np.cos(2.0 * np.pi * X), axis=1))
+        - np.exp(np.mean(inner, axis=1))
         + 20.0
         + math.e
     )
@@ -129,7 +121,7 @@ def test_function(fid: str, x, ackley_standard: bool = False):
         raise DimensionMismatch("the borehole model takes 8 inputs")
     table = {
         "I": _weighted_sphere,
-        "II": _ackley_standard if ackley_standard else _ackley_printed,
+        "II": lambda X: _ackley(X, ackley_standard),
         "III": _yang,
         "borehole": _borehole,
     }

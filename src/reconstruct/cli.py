@@ -81,7 +81,9 @@ def _write_report(path, report: BenchmarkReport):
 
 def _parse_lambda(text):
     """A --lambda value: one of the policy words or a number (the fits
-    read the policy; see ``estimators._lambda_plan``)."""
+    read the policy; see ``estimators._lambda_plan``); absent is "auto"."""
+    if text is None:
+        return "auto"
     if text in ("gcv", "auto", "none"):
         return text
     try:
@@ -164,7 +166,9 @@ def _build_parser():
                      help="choose the Gaussian rates by least squares on the knots "
                           "(one per coordinate, in [1e-2, 1e3]) instead of --theta; "
                           "needs --m, and not for krr or gpr")
-    fit.add_argument("--lambda", dest="lam", default="auto", help="gcv | auto | none | value")
+    fit.add_argument("--lambda", dest="lam", default=None,
+                     help="gcv | auto | none | value (default auto); not for spgp, eb "
+                          "or gprr with --estimate-theta")
     _add(fit, "--data", "--m", "--theta", "--g", "--trials", "--seed", "--out")
 
     pred = sub.add_parser("predict", help="evaluate a stored model on points")
@@ -231,6 +235,12 @@ def _cmd_fit(args):
         # the rate search fits on knots, and these methods have none
         raise _UsageError(f"--estimate-theta does not apply to method {args.method}")
     _reject_m(args)
+    if args.lam is not None and args.method in ("spgp", "eb"):
+        # the marginal-likelihood variance search sets the ridge weight
+        raise _UsageError(f"--lambda does not apply to method {args.method}")
+    if args.lam is not None and args.method == "gprr" and args.estimate_theta:
+        # the stored model is the rate search's unpenalized fit
+        raise _UsageError("--lambda does not apply to method gprr with --estimate-theta")
     X, y = _read_xy(args.data)
     lam = _parse_lambda(args.lam)
     spec = _kernel_from_args(args, X.shape[1])

@@ -250,6 +250,14 @@ def model_from_json(obj: dict) -> FittedModel:
     diag = {} if obj.get("diagnostics") is None else obj["diagnostics"]
     if not isinstance(diag, dict):
         raise BadSchema("model field 'diagnostics' must hold a JSON object")
+
+    def entry(name, default, valid, expected):
+        # a JSON number (true and false are not) in the entry's range
+        v = diag.get(name, default)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not valid(v):
+            raise BadSchema(f"model field 'diagnostics.{name}' is {v!r}; expected {expected}")
+        return v
+
     return FittedModel(
         interpolator=interpolator,
         knots=knots,
@@ -261,9 +269,12 @@ def model_from_json(obj: dict) -> FittedModel:
         w=w,
         method=obj.get("method"),
         diagnostics=FitDiagnostics(
-            gcv=diag.get("gcv"),
-            jitter=diag.get("jitter", 0.0),
-            iterations=diag.get("iterations", 0),
+            gcv=None if diag.get("gcv") is None else entry(
+                "gcv", None, lambda v: -math.inf < v < math.inf, "null or a finite number"),
+            jitter=entry("jitter", 0.0, lambda v: 0.0 <= v < math.inf,
+                         "a finite non-negative number"),
+            iterations=entry("iterations", 0, lambda v: isinstance(v, int) and v >= 0,
+                             "a non-negative integer"),
         ),
     )
 

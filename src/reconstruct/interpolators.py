@@ -268,14 +268,6 @@ class GPBasis:
     R_A_factor: SpdFactorization
     G_A: np.ndarray  # (m, q)
 
-    @property
-    def m(self) -> int:
-        return self.knots.m
-
-    @property
-    def q(self) -> int:
-        return self.G_A.shape[1]
-
 
 def gp_basis_build(A, spec: KernelSpec, g_kind: str = "constant+linear") -> GPBasis:
     """Build U, V and the knot-correlation factorization for a knot set."""

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from reconstruct.baselines import (
     VarianceParams,
@@ -16,7 +17,7 @@ from reconstruct.benchmarks import _map_indexed
 from reconstruct.errors import DegenerateData
 from reconstruct.estimators import fit_gprr, fit_krr, predict
 from reconstruct.interpolators import KnotSet
-from reconstruct.kernels import default_gaussian, gaussian_kernel
+from reconstruct.kernels import default_gaussian, gaussian_kernel, kernel_matrix
 
 from conftest import separated_points
 
@@ -242,6 +243,65 @@ class TestEstimateVariances:
         X = rng.random((20, 1))
         with pytest.raises(DegenerateData):
             estimate_variances(X, np.ones(20), KnotSet(X[:3]), default_gaussian(1))
+
+
+def _dense_low_rank(X, A, spec, corrected):
+    """K = R_XA, Q = K R_A^{-1} K' and the dropped variance r = diag(R_X - Q)
+    (zero without the correction), formed densely and without the whitened
+    cross-kernel the estimators use."""
+    K = kernel_matrix(spec, X, A)
+    Q = K @ np.linalg.solve(kernel_matrix(spec, A, A), K.T)
+    r = np.diag(kernel_matrix(spec, X, X)) - np.diag(Q) if corrected else np.zeros(len(X))
+    return K, Q, r
+
+
+class TestDenseOracle:
+    """SPGP, the quasi-posterior and the variance grid against n x n algebra
+    in C(rho) = Q + diag(r) + rho I, at n <= 300."""
+
+    @staticmethod
+    def _problem(seed):
+        r = np.random.default_rng(seed)
+        n, d, m = int(r.integers(30, 301)), int(r.integers(1, 4)), int(r.integers(4, 16))
+        noise = float(np.exp(r.uniform(np.log(0.01), np.log(3.0))))
+        X = r.random((n, d))
+        y = np.sin(4 * X[:, 0]) + X.sum(axis=1) ** 2 + noise * r.normal(size=n)
+        return X, y, KnotSet(separated_points(r, m, d)), default_gaussian(d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_knot_values_solve_the_dense_system(self, seed):
+        # the knot values are K'C(rho)^{-1} y at rho = sigma^2 / tau^2
+        X, y, A, spec = self._problem(seed)
+        for corrected, fitter in ((True, fit_spgp), (False, fit_empirical_bayes)):
+            K, Q, r = _dense_low_rank(X, A.points, spec, corrected)
+            for vp in (VarianceParams(1.0, 0.1), VarianceParams(0.5, 2.0)):
+                C = Q + np.diag(r) + vp.ridge_weight * np.eye(len(y))
+                expect = K.T @ np.linalg.solve(C, y)
+                got = fitter(X, y, A, spec, vp).gamma_hat
+                np.testing.assert_allclose(got, expect, rtol=0,
+                                           atol=1e-8 * np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_variance_pick_maximizes_dense_likelihood(self, seed):
+        # cell (tau^2, sigma^2) scores log N(y; 0, tau^2 C(sigma^2 / tau^2)),
+        # from one dense Cholesky factor per ratio; the pick's score must be
+        # the maximum up to rounding, which is robust to near-ties
+        X, y, A, spec = self._problem(seed)
+        _, Q, r = _dense_low_rank(X, A.points, spec, True)
+        n, k = len(y), 20
+        grid = np.logspace(-4.0, 4.0, k) * np.var(y)
+        ll = np.empty((k, k))
+        for key in range(1 - k, k):  # sigma^2 index minus tau^2 index
+            rho = grid[max(key, 0)] / grid[max(-key, 0)]
+            L = np.linalg.cholesky(Q + np.diag(r) + rho * np.eye(n))
+            z = solve_triangular(L, y, lower=True)
+            logdet = 2.0 * np.sum(np.log(np.diag(L)))
+            for i in range(max(-key, 0), min(k, k - key)):
+                ll[i, i + key] = -0.5 * (n * np.log(2.0 * np.pi * grid[i]) + logdet
+                                         + z @ z / grid[i])
+        vp = estimate_variances(X, y, A, spec)
+        picked = ll[np.argmin(np.abs(grid - vp.tau2)), np.argmin(np.abs(grid - vp.sigma2))]
+        assert picked >= ll.max() - 1e-8 * abs(ll.max())
 
 
 class TestLowRankMemory:

@@ -323,6 +323,19 @@ class TestFitPredict:
         assert "--estimate-theta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,extra", [
+        ("spgp", []), ("eb", []), ("gprr", ["--estimate-theta"]),
+    ], ids=["spgp", "eb", "gprr-estimate-theta"])
+    def test_lambda_rejected_where_ignored(self, tmp_path, train_csv, capsys, method, extra):
+        # the variance search or the rate search sets the ridge weight, so
+        # an explicit --lambda must not be dropped silently
+        path, _, _ = train_csv
+        out = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(path), "--method", method, "--m", "8",
+                         "--seed", "1", *extra, "--lambda", "0.5", "--out", str(out)]) == 1
+        assert "--lambda does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,method", [
         ("fit", "krr"), ("fit", "gpr"), ("gcv-scan", "krr"), ("gcv-scan", "fdp"),
     ])
@@ -358,7 +371,16 @@ class TestFitPredict:
         (lambda doc: dict(doc, g_kind="bogus"), "model field 'g_kind'"),
         (lambda doc: dict(doc, w={"a": 1.0}), "model field 'w'"),
         (lambda doc: dict(doc, beta="abc"), "model field 'beta'"),
-    ], ids=["list", "string", "diagnostics-list", "unknown-g-kind", "w-object", "beta-string"])
+        (lambda doc: dict(doc, diagnostics=dict(doc["diagnostics"], gcv=[1])),
+         "model field 'diagnostics.gcv'"),
+        (lambda doc: dict(doc, diagnostics=dict(doc["diagnostics"], jitter="x")),
+         "model field 'diagnostics.jitter'"),
+        (lambda doc: dict(doc, diagnostics=dict(doc["diagnostics"], iterations=-1)),
+         "model field 'diagnostics.iterations'"),
+        (lambda doc: dict(doc, diagnostics=dict(doc["diagnostics"], iterations=True)),
+         "model field 'diagnostics.iterations'"),
+    ], ids=["list", "string", "diagnostics-list", "unknown-g-kind", "w-object", "beta-string",
+            "gcv-list", "jitter-string", "iterations-negative", "iterations-bool"])
     def test_malformed_model_is_data_error(self, tmp_path, train_csv, capsys, command, damage,
                                            named):
         path, _, _ = train_csv
