@@ -58,11 +58,6 @@ from .kernels import (
     kernel_value,
     matern_kernel,
 )
-from .numerics import (
-    SpdFactorization,
-    banded_spd_solve,
-    fdp_hat_trace,
-    hat_trace,
-)
+from .numerics import fdp_hat_trace, hat_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,9 +5,11 @@ estimator that coincides with reconstruction regression.
 The low-rank paths (Nystrom, SPGP, quasi-posterior, variance search)
 all start from one whitened cross-kernel P = R_XA L_A^{-T} and work
 entirely with n x m and m x m arrays; no n x n matrix and no inverse of
-R_A is formed.  Nystrom's spectrum is the Demmler-Reinsch spectrum of the
-basis [G_X, P]; SPGP, the quasi-posterior and every noise-to-signal ratio
-of the variance search solve one m x m system, I + P'diag(1/(r + rho))P.
+R_A is formed.  Nystrom's spectrum and coefficients come from the
+triangular factor of B'B, B = [G_X, P], and the penalty factor [0 | I_m]
+that leaves the trend unpenalized; SPGP, the quasi-posterior and every
+noise-to-signal ratio of the variance search solve one m x m system,
+I + P'diag(1/(r + rho))P.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ def fit_nystrom(
 
     By Henderson's mixed-model identity that smoother is the ridge fit
     min ||y - G beta - P v||^2 + n*lam*||v||^2 with the trend unpenalized,
-    so its spectrum is the Demmler-Reinsch spectrum of B = [G_X, P] with
-    Sigma = diag(0_q, I_m), in O(m^2 n); at lambda, c = (beta, v) and
-    alpha = (y - B c) / (n*lam).  The jitter reported is the larger of
-    R_A's and B'B's.
+    so its spectrum is that of B = [G_X, P] with the penalty factor
+    W = [0 | I_m] (see :func:`~reconstruct.numerics.demmler_reinsch`), in
+    O(m^2 n); at lambda, c = (beta, v) and alpha = (y - B c) / (n*lam).
+    The jitter reported is the larger of R_A's and B'B's.
     """
     X, y = _as_xy(X, y)
     n = X.shape[0]
@@ -106,8 +108,7 @@ def fit_nystrom(
     G = regression_matrix(g_kind, X)
     q = G.shape[1]
     B = np.hstack([G, P])
-    Sigma = np.diag(np.r_[np.zeros(q), np.ones(P.shape[1])])
-    spectrum, coefficients, jitter = demmler_reinsch(B, Sigma, y)
+    spectrum, coefficients, jitter = demmler_reinsch(B, np.eye(B.shape[1])[q:], y)
     lam, tuned = _tune(_lambda_plan(lambda_policy, grid, n), n, spectrum.rss_and_dof)
     if n * lam <= 0.0:
         raise SingularSystem(f"low-rank system unsolvable at lambda={lam}")

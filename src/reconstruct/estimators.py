@@ -3,7 +3,8 @@
 A fitted model is a knot set plus estimated knot values and the
 interpolator that rebuilds the curve or surface.  Generic machinery:
 
-* ridge solution  gamma = (B'B + n*lam*Sigma)^{-1} B'y
+* ridge solution  gamma = argmin ||B g - y||^2 + n*lam*||W g||^2, W the
+  penalty's own factor
 * GCV(lam) = ||y - H y||^2 / (n (1 - trace(H)/n)^2),  H the smoother
 * kernel-rate estimation by one joint L-BFGS-B search on the
   variable-projection form of the unpenalized least-squares objective.
@@ -64,6 +65,7 @@ from .kernels import (
 from .numerics import (
     SmootherSpectrum,
     _normal_factor,
+    _penalty_factor,
     banded_spd_solve,
     demmler_reinsch,
     fdp_residual_and_trace,
@@ -279,18 +281,6 @@ def model_from_json(obj: dict) -> FittedModel:
     )
 
 
-def roughness_penalty(basis: GPBasis) -> np.ndarray:
-    """The kernel-part squared-norm penalty matrix V R_A V'.
-
-    Assembled as the Gram matrix (L'V)'(L'V) with L the knot-correlation
-    Cholesky factor, which keeps it positive semidefinite even when the
-    correlation matrix is nearly singular.
-    """
-    W = basis.R_A_factor.factor.T @ basis.V
-    Sigma = W.T @ W
-    return 0.5 * (Sigma + Sigma.T)
-
-
 # ---------------------------------------------------------------------------
 # the lambda policy and the GCV engine
 # ---------------------------------------------------------------------------
@@ -348,7 +338,10 @@ def _gcv_curve(n, rss, dof) -> np.ndarray:
 
 def _gcv_select(grid, curve):
     """The plateau rule: (lam, GCV at lam) for the largest lambda on the
-    minimum plateau of the curve."""
+    minimum plateau of the curve, within ``_GCV_PLATEAU_RTOL`` of its
+    minimum.  Ties inside the curve's rounding are broken toward the larger
+    lambda: on the full-knot path that rounding is up to 3.5e-8 relative at
+    lambda = 1e-8, above the tolerance, so there rounding can decide it."""
     finite = np.isfinite(curve)
     if not np.any(finite):
         raise SingularSystem("GCV is undefined on the whole grid")
@@ -376,7 +369,7 @@ def gcv(B, y, lam, Sigma):
 
     ``lam`` may be a number or an array; the result has the same shape.
     """
-    spectrum = demmler_reinsch(B, Sigma, y)[0]
+    spectrum = demmler_reinsch(B, _penalty_factor(Sigma), y)[0]
     curve = _gcv_curve(spectrum.n, *spectrum.rss_and_dof(lam))
     return curve if np.ndim(lam) else float(curve[0])
 
@@ -529,10 +522,12 @@ def _basis_model(basis: GPBasis, gamma, lam, tuned=FitDiagnostics(), jitter=0.0,
 
 
 def _subset_spectrum(X, y, knots: KnotSet, spec, g_kind):
-    """The kriging basis on the knots and the Demmler-Reinsch spectrum of
-    its ridge smoother (see :func:`~reconstruct.numerics.demmler_reinsch`)."""
+    """The kriging basis on the knots and its ridge fit (see
+    :func:`~reconstruct.numerics.demmler_reinsch`) with penalty factor
+    W = L_A'V: ||W gamma||^2 = w'R_A w for kernel coefficients w = V gamma."""
     basis = gp_basis_build(knots, spec, g_kind)
-    return (basis, *demmler_reinsch(design_matrix(basis, X), roughness_penalty(basis), y))
+    W = basis.R_A_factor.factor.T @ basis.V
+    return (basis, *demmler_reinsch(design_matrix(basis, X), W, y))
 
 
 def fit_gprr(
@@ -548,11 +543,11 @@ def fit_gprr(
 
     With ``A`` equal to (or omitted for) the full design, the estimator
     collapses to a kernel smoother on the training points and is computed
-    in that stable form.  With fewer knots the ridge smoother is built from
-    the design matrix of the interpolation basis and the roughness penalty
-    induced by its kernel part, and the knot values at the chosen lambda
-    come from the same spectrum GCV searched.  ``lambda_policy`` is read by
-    :func:`_lambda_plan`.
+    in that stable form.  With fewer knots the ridge fit is built from the
+    design matrix of the interpolation basis and the factor of the roughness
+    penalty of its kernel part (:func:`_subset_spectrum`), and the knot
+    values at the chosen lambda come from the factor GCV searched.
+    ``lambda_policy`` is read by :func:`_lambda_plan`.
     """
     X, y = _as_xy(X, y)
     n, d = X.shape

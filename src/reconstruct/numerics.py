@@ -15,7 +15,10 @@ Banded systems are LAPACK upper band arrays of shape (bandwidth + 1, n).
 
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
 from which its residual and trace at every lambda of a grid follow in
-O(len(d)) each.  The pentadiagonal finite-difference smoother is
+O(len(d)) each.  A ridge fit on an n x m basis B with penalty factor W
+takes its spectrum from one m x m SVD against the Cholesky factor of B'B,
+and its coefficients from one m-column stacked QR that reads no row of B.
+The pentadiagonal finite-difference smoother is
 diagonalized the same way, up to one rank-1 term per parity, by the
 discrete cosine transform: one DCT of y (``scipy.fft``, imported at the
 first such call, so importing the package does not load it), then its
@@ -203,55 +206,60 @@ class SmootherSpectrum:
         return rss, np.sum(s, axis=1) + self.k0
 
 
-def demmler_reinsch(B, Sigma, y):
-    """Spectrum of the ridge smoother H(lam) = B (B'B + n*lam*Sigma)^{-1} B'
-    and its coefficients.
+def demmler_reinsch(B, W, y):
+    """Spectrum of the ridge smoother of min ||B g - y||^2 + n*lam*||W g||^2,
+    H(lam) = B (B'B + n*lam*W'W)^{-1} B', and its coefficients.
 
-    Demmler & Reinsch (1975): with B'B = LL' and L^{-1} Sigma L^{-T} =
-    V diag(mu) V', the columns of B W, W = L^{-T} V, are orthonormal and H
-    scales them by 1 / (1 + n*lam*mu_i), so d_i = 1/mu_i (infinite on the
-    null space of Sigma); the n - m directions outside the column space of
-    B are pure residual.  A B'B that is not positive definite gets the
-    jitter ladder of :func:`spd_factor`.
+    The generalized SVD of (B, W) (Van Loan 1976; Paige & Saunders 1981)
+    from an m x m factor of B'B = LL': with c = L^{-1}B'y and the SVD
+    W L^{-T} = U diag(s) V', the columns of B L^{-T} V are orthonormal and
+    H scales them by 1 / (1 + n*lam*mu_i), mu = s^2 padded with zeros when
+    W has fewer than m rows, so d_i = 1/mu_i (infinite on the null space of
+    W) and z = V'c; the n - m directions outside the column space of B are
+    pure residual.  A B'B that is not positive definite gets the jitter
+    ladder of :func:`spd_factor`.
 
-    Returns the spectrum, ``coefficients(lam) -> gamma`` with
-    gamma = (B'B + n*lam*Sigma)^{-1} B'y = W z / (1 + n*lam*mu), z = W'B'y,
-    and the jitter put on B'B.
+    Returns the spectrum, ``coefficients(lam) -> gamma``, the least-squares
+    solution of [L'; sqrt(n*lam) W] gamma = [c; 0] from one thin QR of that
+    stack, which reads nothing of B, and the jitter put on B'B.
     """
-    from scipy.linalg import eigh, solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+    from scipy.linalg import solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
 
     B = np.asarray(B, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
+    W = np.asarray(W, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    if B.ndim != 2:
-        raise DimensionMismatch("B must be a 2-D array")
+    if B.ndim != 2 or W.ndim != 2 or W.shape[1] != B.shape[1]:
+        raise DimensionMismatch(f"B has shape {B.shape} and W {W.shape}; need (n, m) and (k, m)")
     n, m = B.shape
-    if Sigma.shape != (m, m):
-        raise DimensionMismatch(
-            f"Sigma has shape {Sigma.shape}, expected ({m}, {m})"
-        )
     fac = _normal_factor(B.T @ B)
     L = fac.factor
-    S = solve_triangular(L, solve_triangular(L, Sigma, lower=True).T, lower=True)
-    mu, V = eigh(0.5 * (S + S.T))
-    mu = np.clip(mu, 0.0, None)
-    W = solve_triangular(L, V, lower=True, trans="T")  # L^{-T} V
-    z = W.T @ (B.T @ y)
-    r = y - B @ (W @ z)
+    c = solve_triangular(L, B.T @ y, lower=True)
+    _, s, Vt = np.linalg.svd(solve_triangular(L, W.T, lower=True).T,
+                             full_matrices=W.shape[0] < m)
+    mu = np.zeros(m)
+    mu[: s.size] = s * s
+    z = Vt @ c
+    r = y - B @ solve_triangular(L, c, lower=True, trans="T")
     with np.errstate(divide="ignore"):
         d = 1.0 / mu
 
     def coefficients(lam):
-        nl = n * lam
-        gamma = W @ (z / (1.0 + nl * mu))
-        # one refinement step on B'(y - B gamma) = n*lam*Sigma gamma: W is
-        # as ill-conditioned as L, and the residual taken from B brings
-        # gamma back to the accuracy of a direct solve or better
-        r = B.T @ (y - B @ gamma) - nl * (Sigma @ gamma)
-        return gamma + W @ ((W.T @ r) / (1.0 + nl * mu))
+        Q, R = np.linalg.qr(np.vstack([L.T, np.sqrt(n * lam) * W]))
+        return solve_triangular(R, Q[:m].T @ c)  # R^{-1} Q'[c; 0]
 
     spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(r @ r), k0=n - m)
     return spectrum, coefficients, fac.jitter_applied
+
+
+def _penalty_factor(Sigma) -> np.ndarray:
+    """A W with W'W = Sigma for a symmetric positive semidefinite Sigma:
+    diag(sqrt(ev)) V' from its eigendecomposition, negative rounding in
+    the eigenvalues taken as 0."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
+        raise DimensionMismatch(f"Sigma has shape {Sigma.shape}, expected a square matrix")
+    ev, V = np.linalg.eigh(Sigma)
+    return np.sqrt(np.clip(ev, 0.0, None))[:, None] * V.T
 
 
 def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
@@ -260,7 +268,7 @@ def hat_trace(B: np.ndarray, Sigma: np.ndarray, lam):
     ``lam`` may be a number or an array; the result has the same shape.
     """
     B = np.asarray(B, dtype=float)
-    dof = demmler_reinsch(B, Sigma, np.zeros(B.shape[0]))[0].rss_and_dof(lam)[1]
+    dof = demmler_reinsch(B, _penalty_factor(Sigma), np.zeros(B.shape[0]))[0].rss_and_dof(lam)[1]
     tr = B.shape[0] - dof
     return tr if np.ndim(lam) else float(tr[0])
 

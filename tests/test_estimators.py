@@ -44,7 +44,6 @@ from reconstruct.estimators import (
     model_from_json,
     model_to_json,
     predict,
-    roughness_penalty,
     select_lambda,
 )
 from reconstruct.interpolators import (
@@ -62,7 +61,7 @@ from conftest import f1d, mp_residual_and_trace, random_spd, separated_points
 
 
 class TestRidgeReconstruct:
-    """gamma = (B'B + n*lam*Sigma)^{-1} B'y from the Demmler-Reinsch solve."""
+    """gamma = (B'B + n*lam*W'W)^{-1} B'y from the Demmler-Reinsch solve."""
 
     def test_identity_shrinkage(self, rng):
         n = 10
@@ -79,13 +78,13 @@ class TestRidgeReconstruct:
         np.testing.assert_allclose(got, np.linalg.solve(B, y), atol=1e-8)
 
     def test_first_order_condition(self, rng):
-        # gradient of ||y - B g||^2/n + lam g'Sigma g vanishes at the solution
+        # gradient of ||y - B g||^2/n + lam ||W g||^2 vanishes at the solution
         n, m, lam = 30, 5, 0.1
         B = rng.normal(size=(n, m))
         y = rng.normal(size=n)
-        Sigma = np.eye(m)
-        g = demmler_reinsch(B, Sigma, y)[1](lam)
-        grad = -2.0 / n * B.T @ (y - B @ g) + 2 * lam * Sigma @ g
+        W = np.eye(m)
+        g = demmler_reinsch(B, W, y)[1](lam)
+        grad = -2.0 / n * B.T @ (y - B @ g) + 2 * lam * W.T @ (W @ g)
         assert np.linalg.norm(grad) < 1e-6
 
 
@@ -114,6 +113,14 @@ class TestGcv:
             r = y - H @ y
             expect = float(r @ r) / (n * (1 - np.trace(H) / n) ** 2)
             assert gcv(B, y, lam, Sigma) == pytest.approx(expect, rel=1e-8)
+
+    def test_penalty_of_wrong_shape_rejected(self, rng):
+        B, y = rng.normal(size=(20, 4)), rng.normal(size=20)
+        for Sigma in (np.eye(4)[:3], np.eye(5), np.ones(4)):
+            with pytest.raises(DimensionMismatch):
+                gcv(B, y, 0.1, Sigma)
+        with pytest.raises(DimensionMismatch):
+            demmler_reinsch(B, np.eye(5), y)
 
 
 class TestSelectLambda:
@@ -168,8 +175,8 @@ class TestGprr:
         basis = gp_basis_build(X, spec, "none")
         B = design_matrix(basis, X)
         R = kernel_matrix(spec, X, X)
-        Sigma = basis.V @ R @ basis.V.T
-        gamma = demmler_reinsch(B, 0.5 * (Sigma + Sigma.T), y)[1](lam)
+        W = np.linalg.cholesky(R).T @ basis.V.T  # W'W = V R V'
+        gamma = demmler_reinsch(B, W, y)[1](lam)
         xs = rng.random((50, 2))
         preds = kernel_matrix(spec, xs, X) @ (basis.V @ gamma)
         ref = predict(fit_krr(X, y, spec, lam), xs)
@@ -204,8 +211,8 @@ class TestGprr:
 
     def test_subset_knot_values_match_augmented_qr(self):
         # gamma minimizes ||[B; sqrt(n lam) W] g - [y; 0]|| with Sigma = W'W,
-        # and a thin QR of the stacked matrix gives the reference.  On this
-        # draw the spectral formula without its refinement step is 6e-6 off.
+        # and a thin QR of the stacked matrix gives the reference.
+        # TestSubsetCoefficients holds this draw to 1e-8.
         n, m = 4000, 100
         data = simulate("III", n, 2, 1.0, seed=11)
         A = KnotSet(data.X[np.sort(np.random.default_rng(111).choice(n, m, replace=False))])
@@ -1092,7 +1099,8 @@ def _subset_curves(rng, n):
     basis = gp_basis_build(separated_points(rng, n // 3, 2), default_gaussian(2),
                            "constant+linear")
     B = design_matrix(basis, X)
-    Sigma = roughness_penalty(basis)
+    W = basis.R_A_factor.factor.T @ basis.V
+    Sigma = W.T @ W
     brute = [_brute_gcv(B @ np.linalg.solve(B.T @ B + n * lam * Sigma, B.T), y)
              for lam in _GCV_GRID]
     return gcv(B, y, _GCV_GRID, Sigma), brute
@@ -1169,3 +1177,77 @@ class TestTunedCoefficients:
         for field in ("w", "gamma_hat") if g_kind == "none" else ("beta", "w", "gamma_hat"):
             got, expect = getattr(tuned, field), getattr(fixed, field)
             assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect), field
+
+
+def _stacked_lstsq(B, W, y, nl):
+    """The dense reference: argmin ||[B; sqrt(nl) W] g - [y; 0]|| from one
+    thin QR of the stacked matrix."""
+    Q, R = np.linalg.qr(np.vstack([B, np.sqrt(nl) * W]))
+    return np.linalg.solve(R, Q.T @ np.concatenate([y, np.zeros(W.shape[0])]))
+
+
+class TestSubsetCoefficients:
+    """Subset-knot coefficients at the GCV pick, and those of the ridge
+    solve on random (B, W), equal the dense stacked least-squares solve of
+    min ||B g - y||^2 + n*lam*||W g||^2 at the same lambda."""
+
+    @pytest.mark.parametrize("name", ["III", "I"])
+    def test_knot_values_match_augmented_qr_closely(self, name):
+        # the draw of TestGprr::test_subset_knot_values_match_augmented_qr,
+        # and the same for function I
+        n, m = 4000, 100
+        data = simulate(name, n, 2, 1.0, seed=11)
+        A = KnotSet(data.X[np.sort(np.random.default_rng(111).choice(n, m, replace=False))])
+        spec = default_gaussian(2)
+        model = fit_gprr(data.X, data.y, A, spec, "constant+linear", "gcv")
+        basis = gp_basis_build(A, spec, "constant+linear")
+        W = basis.R_A_factor.factor.T @ basis.V
+        ref = _stacked_lstsq(design_matrix(basis, data.X), W, data.y, n * model.lam)
+        assert np.max(np.abs(model.gamma_hat - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 80),
+           noise=st.sampled_from([0.01, 1.0]))
+    def test_fits_at_gcv_pick(self, seed, n, noise):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, 2))
+        y = np.sin(6 * X[:, 0]) + noise * rng.normal(size=n)
+        A = separated_points(rng, int(rng.integers(4, n // 3 + 1)), 2)
+        spec = default_gaussian(2)
+        model = fit_gprr(X, y, A, spec, "constant+linear", "gcv")
+        basis = gp_basis_build(A, spec, "constant+linear")
+        W = basis.R_A_factor.factor.T @ basis.V
+        ref = _stacked_lstsq(design_matrix(basis, X), W, y, n * model.lam)
+        assert np.linalg.norm(model.gamma_hat - ref) <= 1e-9 * np.linalg.norm(ref)
+        # Nystrom: c = (beta, v) with the trend unpenalized, alpha = (y - B c) / (n lam)
+        nys = fit_nystrom(X, y, A, spec, "constant+linear", "gcv")
+        _, _, P = _whitened_cross(X, A, spec)
+        B = np.hstack([regression_matrix("constant+linear", X), P])
+        q = B.shape[1] - P.shape[1]
+        c = _stacked_lstsq(B, np.eye(B.shape[1])[q:], y, n * nys.lam)
+        alpha = (y - B @ c) / (n * nys.lam)
+        assert np.linalg.norm(nys.beta - c[:q]) <= 1e-9 * np.linalg.norm(c[:q])
+        assert np.linalg.norm(nys.w - alpha) <= 1e-9 * np.linalg.norm(alpha)
+
+    @pytest.mark.parametrize("kind", ["short", "null-space", "jittered"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12),
+           lam=st.floats(1e-8, 1e2))
+    def test_random_penalty_factor(self, kind, seed, m, lam):
+        rng = np.random.default_rng(seed)
+        n = 3 * m
+        B = rng.normal(size=(n, m))
+        y = rng.normal(size=n)
+        if kind == "short":  # fewer rows than m
+            W = rng.normal(size=(int(rng.integers(1, m)), m))
+        else:  # an unpenalized first column, as Nystrom's trend
+            W = np.eye(m)[1:]
+        if kind == "jittered":  # a zero column makes B'B singular
+            B[:, -1] = 0.0
+        _, coefficients, jitter = demmler_reinsch(B, W, y)
+        assert (jitter > 0.0) == (kind == "jittered")
+        # the jitter is a ridge sqrt(jitter) I on the rows of B
+        ref = _stacked_lstsq(np.vstack([B, np.sqrt(jitter) * np.eye(m)]), W,
+                             np.concatenate([y, np.zeros(m)]), n * lam)
+        got = coefficients(lam)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
