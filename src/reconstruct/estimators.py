@@ -44,6 +44,7 @@ from .interpolators import (
     GPBasis,
     KnotSet,
     SplineCoefficients,
+    _basis_rows,
     as_knots,
     design_matrix,
     fit_natural_spline,
@@ -195,10 +196,10 @@ _INTERPOLATORS = ("lagrange", "spline", "kernel", "gp")
 
 
 def model_from_json(obj: dict) -> FittedModel:
-    """Rebuild a stored model, checking every field that prediction reads:
-    the interpolator's name, each array's shape against the knots and its
-    entries for NaN or inf, and the fields each interpolator needs.  A bad
-    field raises ``BadSchema`` naming it."""
+    """Rebuild a stored model, checking every field: the interpolator's name,
+    each array's shape against the knots and its entries for NaN or inf, the
+    fields each interpolator needs, ``method`` (null or a string), ``lambda``
+    and ``diagnostics`` (numbers in range).  ``BadSchema`` names a bad field."""
     if not isinstance(obj, dict):
         raise BadSchema("model file must hold a JSON object")
     interpolator = obj.get("interpolator")
@@ -249,34 +250,36 @@ def model_from_json(obj: dict) -> FittedModel:
             raise BadSchema(
                 f"model field 'knots' has {knots.d} coordinates; a {interpolator} model has 1"
             )
+    if obj.get("method") is not None and not isinstance(obj["method"], str):
+        raise BadSchema(f"model field 'method' is {obj['method']!r}; expected null or a string")
     diag = {} if obj.get("diagnostics") is None else obj["diagnostics"]
     if not isinstance(diag, dict):
         raise BadSchema("model field 'diagnostics' must hold a JSON object")
 
-    def entry(name, default, valid, expected):
-        # a JSON number (true and false are not) in the entry's range
-        v = diag.get(name, default)
+    def number(name, v, valid, expected):
+        # a JSON number (true and false are not) in the field's range
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not valid(v):
-            raise BadSchema(f"model field 'diagnostics.{name}' is {v!r}; expected {expected}")
+            raise BadSchema(f"model field {name!r} is {v!r}; expected {expected}")
         return v
 
+    finite_nonneg = (lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
     return FittedModel(
         interpolator=interpolator,
         knots=knots,
         gamma_hat=gamma_hat,
-        lam=read("lambda", float),
+        lam=float(number("lambda", read("lambda", lambda v: v), *finite_nonneg)),
         kernel=kernel,
         g_kind=g_kind,
         beta=arr("beta", q),
         w=w,
         method=obj.get("method"),
         diagnostics=FitDiagnostics(
-            gcv=None if diag.get("gcv") is None else entry(
-                "gcv", None, lambda v: -math.inf < v < math.inf, "null or a finite number"),
-            jitter=entry("jitter", 0.0, lambda v: 0.0 <= v < math.inf,
-                         "a finite non-negative number"),
-            iterations=entry("iterations", 0, lambda v: isinstance(v, int) and v >= 0,
-                             "a non-negative integer"),
+            gcv=None if diag.get("gcv") is None else number(
+                "diagnostics.gcv", diag["gcv"], lambda v: -math.inf < v < math.inf,
+                "null or a finite number"),
+            jitter=number("diagnostics.jitter", diag.get("jitter", 0.0), *finite_nonneg),
+            iterations=number("diagnostics.iterations", diag.get("iterations", 0),
+                              lambda v: isinstance(v, int) and v >= 0, "a non-negative integer"),
         ),
     )
 
@@ -599,14 +602,6 @@ def _fdp_rss_and_dof(y, lam):
     return rss, y.shape[0] - tr
 
 
-def fdp_gcv(y, lam):
-    """GCV of the second-difference ridge at one lambda or an array of them."""
-    y = np.asarray(y, dtype=float).ravel()
-    _require_finite("y", y)
-    curve = _gcv_curve(y.shape[0], *_fdp_rss_and_dof(y, lam))
-    return curve if np.ndim(lam) else float(curve[0])
-
-
 def fit_fdp(y, lambda_policy="gcv", grid=None) -> FdpFit:
     """Ridge on second differences of the fitted values, solved in O(n).
 
@@ -680,41 +675,32 @@ class KernelParamsFit:
 class _RateSearch:
     """f(theta) = min_gamma ||y - B(theta) gamma||^2 / n and its gradient.
 
-    B(theta) is the kriging basis on the knots, rows b(x)' = g(x)'U' +
-    r_A(x)'V, with the correlations K = R_XA and R_A from
-    :func:`~reconstruct.kernels.kernel_matrix`.
+    B(theta) has rows b(x)' = g(x)'U' + r_A(x)'V of the kriging basis on
+    the knots: each gamma-step builds it by :func:`gp_basis_build` and
+    assembles B as :func:`design_matrix` does.
     """
 
     def __init__(self, X, y, knots: KnotSet, g_kind: str):
-        self.X, self.y, self.A = X, y, knots.points
+        self.X, self.y, self.knots, self.A, self.g_kind = X, y, knots, knots.points, g_kind
         self.n, self.d = X.shape
-        self.m = knots.m
         # the squared knot lags (a_il - a_kl)**2, l = 1..d, for the gradient
         self.DA = np.square(self.A.T[:, :, None] - self.A.T[:, None, :])
-        self.GX, self.GA = regression_matrix(g_kind, X), regression_matrix(g_kind, self.A)
+        self.GX = regression_matrix(g_kind, X)
         self.theta = None
 
     def gamma_step(self, theta):
-        """f(theta) and gamma_hat(theta) by one exact least-squares solve;
-        the arrays they come from stay for :meth:`gradient`."""
-        from scipy.linalg.blas import dgemm  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
-
+        """f(theta) and gamma_hat(theta) by one exact least-squares solve; the
+        basis at theta and the arrays they come from stay for :meth:`gradient`."""
         theta = np.array(theta, dtype=float)
-        spec = gaussian_kernel(theta)
         # dropped first, so that the last step's K and the new one are never both held
         self._RX = None
-        RA = kernel_matrix(spec, self.A, self.A)
-        fac = spd_factor(RA)
-        Ut, V = fac.gls(self.GA, np.eye(self.m))
-        K = kernel_matrix(spec, self.X, self.A)
-        # B = K V + G_X U', with G_X U' added in place (BLAS beta = 1 on the
-        # Fortran-ordered B') rather than through an n x m temporary
-        B = dgemm(1.0, Ut.T, self.GX.T, beta=1.0, c=(K @ V).T, overwrite_c=True).T
-        facB = _normal_factor(B.T @ B)
-        gamma = facB.solve(B.T @ self.y)
+        basis = gp_basis_build(self.knots, gaussian_kernel(theta), self.g_kind)
+        K = kernel_matrix(basis.spec, self.X, self.A)
+        B = _basis_rows(basis, self.GX, K)
+        gamma = _normal_factor(B.T @ B).solve(B.T @ self.y)
         r = self.y - B @ gamma
-        self.theta, self.gamma, self.f = theta, gamma, float(r @ r) / self.n
-        self._fac, self._RA, self._RX, self._r, self._w = fac, RA, K, r, V @ gamma
+        self.theta, self.gamma, self.f, self.basis = theta, gamma, float(r @ r) / self.n, basis
+        self._RX, self._r, self._w = K, r, basis.V @ gamma
         return self.f, gamma
 
     def gradient(self) -> np.ndarray:
@@ -735,8 +721,8 @@ class _RateSearch:
 
         one product of K with the m x (d + 1) matrix [w, w o A] besides K'r.
         """
-        X, A, K, r, w = self.X, self.A, self._RX, self._r, self._w
-        du, dw = self._fac.gls(self.GA, ((self.DA * self._RA) @ w).T)
+        X, A, K, r, w, basis = self.X, self.A, self._RX, self._r, self._w, self.basis
+        du, dw = basis.R_A_factor.gls(basis.G_A, ((self.DA * basis.R_A) @ w).T)
         KW = K @ np.column_stack([w, w[:, None] * A])
         Kr = K.T @ r
         rdr = (X * (X * KW[:, :1] - 2.0 * KW[:, 1:])).T @ r + (A * A).T @ (w * Kr)
@@ -760,8 +746,9 @@ def estimate_kernel_params(
     / n (Golub & Pereyra 1973).  One bounded L-BFGS-B search (scipy's
     ``minimize``, default tolerances; Byrd, Lu, Nocedal & Zhu 1995) runs
     over the log10 rates in [-2, 3]^d from theta0 clipped into the box, for
-    at most ``max_iter`` iterations; each evaluation is one exact
-    least-squares solve for gamma and the exact gradient in all d rates.
+    at most ``max_iter`` iterations; each evaluation builds the basis at its
+    rates by :func:`gp_basis_build`, solves for gamma exactly and takes the
+    exact gradient in all d rates.  The model is the last accepted step's basis.
     The search sees f divided by f(theta0), or by eps * mean(y**2) if that
     is larger, so it does not depend on the units of ``y``.  It also stops
     when an accepted iterate lowers f by less than ``tol`` times the
@@ -782,8 +769,8 @@ def estimate_kernel_params(
 
     search = _RateSearch(X, y, knots, g_kind)
     f0, gamma = search.gamma_step(theta0)
-    # the trace, and the rates and knot values of its last entry
-    trace, kept = [f0], [theta0, gamma]
+    # the trace, and the rates, knot values and basis of its last entry
+    trace, kept = [f0], [theta0, gamma, search.basis]
     # the stopping tests of L-BFGS-B are absolute below 1; the floor keeps
     # the rounding-level f of a start that already reproduces y from
     # driving a search
@@ -806,7 +793,7 @@ def estimate_kernel_params(
         at(x)
         if search.f <= trace[-1]:
             trace.append(search.f)
-            kept[:] = search.theta, search.gamma
+            kept[:] = search.theta, search.gamma, search.basis
             return True
         return False
 
@@ -825,14 +812,12 @@ def estimate_kernel_params(
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", callback=callback,
                        bounds=[(-2.0, 3.0)] * search.d, options={"maxiter": max_iter})
         converged, evaluations = stopped or res.status != 1, res.nfev
-    theta, gamma = kept
-    spec = gaussian_kernel(theta)
+    theta, gamma, basis = kept
     return KernelParamsFit(
         theta=theta.copy(),
         gamma_hat=gamma,
         objective_trace=[float(v) for v in trace],
-        model=_basis_model(gp_basis_build(knots, spec, g_kind), gamma, 0.0,
-                           iterations=len(trace) - 1),
+        model=_basis_model(basis, gamma, 0.0, iterations=len(trace) - 1),
         converged=converged,
         evaluations=evaluations,
     )

@@ -16,11 +16,11 @@ from reconstruct.benchmarks import ExperimentConfig
 from reconstruct.cli import _read_xy, _write_json, dispatch
 from reconstruct.designs import select_knots
 from reconstruct.estimators import (
+    _fdp_rss_and_dof,
     _gcv_curve,
     _kriging_spectrum,
     _subset_spectrum,
     estimate_kernel_params,
-    fdp_gcv,
     model_from_json,
     predict,
 )
@@ -303,6 +303,20 @@ class TestFitPredict:
                          "--estimate-theta", "--out", str(spgp)]) == 0
         blob = json.loads(spgp.read_text())
         assert blob["method"] == "spgp" and blob["kernel"]["theta"] == theta
+
+    def test_estimate_theta_with_fewer_knots_than_trend_columns_is_data_error(
+            self, tmp_path, rng, capsys):
+        # three features give q = 4 trend columns; 3 knots cannot carry them
+        data = tmp_path / "three.csv"
+        X = rng.random((30, 3))
+        data.write_text("x1,x2,x3,y\n" + "".join(
+            f"{a!r},{b!r},{c!r},{a + b!r}\n" for a, b, c in X.tolist()))
+        out = tmp_path / "gprr.json"
+        rc = dispatch(["fit", "--data", str(data), "--m", "3", "--seed", "1",
+                       "--estimate-theta", "--out", str(out)])
+        assert rc == 2
+        assert "need more knots (3) than regression functions (4)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimate_theta_needs_knots(self, tmp_path, train_csv, capsys):
         # with every point a knot there are no rates to estimate
@@ -719,7 +733,7 @@ class TestMoreSurfaces:
             path = tmp_path / "line.csv"
             path.write_text("x1,y\n" + "".join(
                 f"{i / (n - 1)!r},{float(v)!r}\n" for i, v in enumerate(y)))
-            expect = fdp_gcv(y, grid)
+            expect = _gcv_curve(n, *_fdp_rss_and_dof(y, grid))
         curve_out = tmp_path / "c.json"
         assert dispatch(["gcv-scan", "--data", str(path), "--method", method, *knot_args,
                          "--grid", "1e-6,1e1,5", "--out", str(curve_out)]) == 0

@@ -32,10 +32,10 @@ from reconstruct.errors import (
 from reconstruct.estimators import (
     DEFAULT_LAMBDA_GRID,
     FittedModel,
+    _fdp_rss_and_dof,
     _gcv_curve,
     _kriging_spectrum,
     estimate_kernel_params,
-    fdp_gcv,
     fit_fdp,
     fit_gprr,
     fit_krr,
@@ -299,7 +299,7 @@ class TestFdp:
             H = np.linalg.inv(np.eye(n) + n * lam * M.T @ M)
             r = y - H @ y
             expect = float(r @ r) / (n * (1 - np.trace(H) / n) ** 2)
-            assert fdp_gcv(y, lam) == pytest.approx(expect, rel=1e-8)
+            assert _gcv_curve(n, *_fdp_rss_and_dof(y, lam)) == pytest.approx(expect, rel=1e-8)
 
     def test_gcv_selection_near_oracle(self):
         rng = np.random.default_rng(7)
@@ -339,9 +339,6 @@ class TestFdp:
         y = np.array([1.0, bad, 2.0, 3.0, bad, 4.0])
         with pytest.raises(NonFiniteInput, match="y has 2 NaN or inf entries"):
             fit_fdp(y, policy)
-        lam = DEFAULT_LAMBDA_GRID if policy == "gcv" else policy
-        with pytest.raises(NonFiniteInput, match="y has 2 NaN or inf entries"):
-            fdp_gcv(y, lam)
 
     def test_failed_factor_scores_infinite_gcv(self):
         # the banded factor fails once n*lam reaches about 1e16; the search
@@ -350,7 +347,7 @@ class TestFdp:
         x = np.linspace(0, 1, n)
         y = f1d(x) + 0.3 * np.random.default_rng(1).normal(size=n)
         grid = np.logspace(-8, 12, 50)
-        curve = fdp_gcv(y, grid)
+        curve = _gcv_curve(n, *_fdp_rss_and_dof(y, grid))
         assert curve[-1] == math.inf
         assert np.all(np.isfinite(curve[:-1]))
         fit = fit_fdp(y, "gcv", grid)
@@ -371,7 +368,7 @@ class TestFdp:
         grid = np.logspace(-8, np.log10(0.99 / np.finfo(float).eps / n), 40)
         with pytest.raises(NotPositiveDefinite):
             numerics.banded_spd_solve(numerics.fdp_system(n, grid[-1]), y)
-        curve = fdp_gcv(y, grid)
+        curve = _gcv_curve(n, *_fdp_rss_and_dof(y, grid))
         assert curve[-1] == math.inf
         assert np.all(np.isfinite(curve[:-1]))
         fit = fit_fdp(y, "gcv", grid)
@@ -657,13 +654,31 @@ class TestKernelParamEstimation:
         search = estimators._RateSearch(X, y, KnotSet(A), g_kind)
         f = search.gamma_step(10.0**x)[0]
         grad = search.gradient()
-        rounding = 10 * np.finfo(float).eps * np.linalg.cond(search._RA)
+        rounding = 10 * np.finfo(float).eps * np.linalg.cond(search.basis.R_A)
         reference = _MpObjective(X, y, A, g_kind)
         assert f == pytest.approx(float(reference([mpmath.mpf(t) for t in x])),
                                   rel=1e-10 + rounding)
         for k in range(d):
             assert grad[k] == pytest.approx(float(reference.slope(x, k)),
                                             rel=1e-6, abs=1e-9 + rounding * f)
+
+    def test_too_few_knots_for_the_trend_raise_at_the_first_step(self, rng, monkeypatch):
+        # a constant+linear trend on 3-D data has q = 4 columns; the first
+        # gamma-step's basis refuses 3 knots before any search runs
+        steps = []
+        step = estimators._RateSearch.gamma_step
+
+        def counted(self, theta):
+            steps.append(theta)
+            return step(self, theta)
+
+        monkeypatch.setattr(estimators._RateSearch, "gamma_step", counted)
+        X = rng.random((40, 3))
+        y = X[:, 0] + 0.1 * rng.normal(size=40)
+        with pytest.raises(RankDeficientRegression,
+                           match=r"need more knots \(3\) than regression functions \(4\)"):
+            estimate_kernel_params(X, y, X[:3], "constant+linear")
+        assert len(steps) == 1
 
     def test_model_is_well_formed(self, rng):
         X = rng.random((70, 2))
@@ -909,6 +924,12 @@ class TestModelJsonSchema:
         ("knots", _ABSENT),
         ("lambda", _ABSENT),
         ("lambda", "small"),
+        ("lambda", "0.5"),
+        ("lambda", math.nan),
+        ("lambda", math.inf),
+        ("lambda", -1.0),
+        ("lambda", True),
+        ("method", 123),
         ("kernel", {"family": "gaussian"}),
         ("kernel", {"family": "gaussian", "theta": [0.0, 12.5]}),
         ("kernel", {"family": "gaussian", "theta": [-1.0, 12.5]}),
@@ -1126,7 +1147,7 @@ def _fdp_curves(rng, n):
     M = np.diff(np.eye(n), 2, axis=0)
     brute = [_brute_gcv(np.linalg.inv(np.eye(n) + n * lam * M.T @ M), y)
              for lam in _GCV_GRID]
-    return fdp_gcv(y, _GCV_GRID), brute
+    return _gcv_curve(n, *_fdp_rss_and_dof(y, _GCV_GRID)), brute
 
 
 class TestGcvEngineProperties:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -431,6 +432,21 @@ class TestDesignMatrix:
         basis = gp_basis_build(pts, default_gaussian(2), "none")
         with pytest.raises(DimensionMismatch):
             design_matrix(basis, rng.random((4, 3)))
+
+    def test_peak_memory_is_under_two_and_a_half_n_by_m_arrays(self, rng):
+        # G_X U' is added into R_XA V in place, so at most two whole n x m
+        # arrays are held at once
+        n, m = 20000, 40
+        basis = gp_basis_build(separated_points(rng, m, 4), default_gaussian(4),
+                               "constant+linear")
+        X = rng.random((n, 4))
+        tracemalloc.start()
+        try:
+            design_matrix(basis, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * m * 8
 
 
 class TestSharedInvariants:
