@@ -164,8 +164,8 @@ def _build_parser():
                      choices=["gprr", "krr", "gpr", "nystrom", "spgp", "eb"])
     fit.add_argument("--estimate-theta", action="store_true",
                      help="choose the Gaussian rates by least squares on the knots "
-                          "(one per coordinate, in [1e-2, 1e3]) instead of --theta; "
-                          "needs --m, and not for krr or gpr")
+                          "(one per coordinate, in [1e-2, 1e3]) instead of --theta, which it "
+                          "does not take; needs --m, and not for krr or gpr")
     fit.add_argument("--lambda", dest="lam", default=None,
                      help="gcv | auto | none | value (default auto); not for spgp, eb "
                           "or gprr with --estimate-theta")
@@ -238,6 +238,9 @@ def _cmd_fit(args):
     if args.lam is not None and args.method in ("spgp", "eb"):
         # the marginal-likelihood variance search sets the ridge weight
         raise _UsageError(f"--lambda does not apply to method {args.method}")
+    if args.estimate_theta and args.theta is not None:
+        # the rate search starts from its own default rates
+        raise _UsageError("--theta does not apply with --estimate-theta")
     if args.lam is not None and args.method == "gprr" and args.estimate_theta:
         # the stored model is the rate search's unpenalized fit
         raise _UsageError("--lambda does not apply to method gprr with --estimate-theta")

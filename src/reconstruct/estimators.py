@@ -65,7 +65,7 @@ from .kernels import (
 )
 from .numerics import (
     SmootherSpectrum,
-    _normal_factor,
+    _least_squares,
     _penalty_factor,
     banded_spd_solve,
     demmler_reinsch,
@@ -256,18 +256,23 @@ def model_from_json(obj: dict) -> FittedModel:
     if not isinstance(diag, dict):
         raise BadSchema("model field 'diagnostics' must hold a JSON object")
 
-    def number(name, v, valid, expected):
-        # a JSON number (true and false are not) in the field's range
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not valid(v):
-            raise BadSchema(f"model field {name!r} is {v!r}; expected {expected}")
-        return v
+    def number(name, v, kind, valid, expected):
+        # a JSON number of the field's kind (true and false are not; an int
+        # is a float), converted to it and then checked against its range
+        try:
+            if not isinstance(v, bool) and isinstance(v, (int, kind)) and valid(kind(v)):
+                return kind(v)
+            shown = repr(v)
+        except OverflowError:
+            shown = "an integer beyond the float range"
+        raise BadSchema(f"model field {name!r} is {shown}; expected {expected}")
 
-    finite_nonneg = (lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
+    finite_nonneg = (float, lambda v: 0.0 <= v < math.inf, "a finite non-negative number")
     return FittedModel(
         interpolator=interpolator,
         knots=knots,
         gamma_hat=gamma_hat,
-        lam=float(number("lambda", read("lambda", lambda v: v), *finite_nonneg)),
+        lam=number("lambda", read("lambda", lambda v: v), *finite_nonneg),
         kernel=kernel,
         g_kind=g_kind,
         beta=arr("beta", q),
@@ -275,11 +280,10 @@ def model_from_json(obj: dict) -> FittedModel:
         method=obj.get("method"),
         diagnostics=FitDiagnostics(
             gcv=None if diag.get("gcv") is None else number(
-                "diagnostics.gcv", diag["gcv"], lambda v: -math.inf < v < math.inf,
-                "null or a finite number"),
+                "diagnostics.gcv", diag["gcv"], float, math.isfinite, "null or a finite number"),
             jitter=number("diagnostics.jitter", diag.get("jitter", 0.0), *finite_nonneg),
-            iterations=number("diagnostics.iterations", diag.get("iterations", 0),
-                              lambda v: isinstance(v, int) and v >= 0, "a non-negative integer"),
+            iterations=number("diagnostics.iterations", diag.get("iterations", 0), int,
+                              lambda v: v >= 0, "a non-negative integer"),
         ),
     )
 
@@ -676,8 +680,8 @@ class _RateSearch:
     """f(theta) = min_gamma ||y - B(theta) gamma||^2 / n and its gradient.
 
     B(theta) has rows b(x)' = g(x)'U' + r_A(x)'V of the kriging basis on
-    the knots: each gamma-step builds it by :func:`gp_basis_build` and
-    assembles B as :func:`design_matrix` does.
+    the knots: each gamma-step is subset :func:`fit_gprr` at lambda = 0 on
+    the rates theta, bit for bit, through the same basis, B and step.
     """
 
     def __init__(self, X, y, knots: KnotSet, g_kind: str):
@@ -689,17 +693,16 @@ class _RateSearch:
         self.theta = None
 
     def gamma_step(self, theta):
-        """f(theta) and gamma_hat(theta) by one exact least-squares solve; the
-        basis at theta and the arrays they come from stay for :meth:`gradient`."""
+        """f(theta), gamma_hat(theta) and the jitter on B'B by the one least-squares
+        step; the basis and the arrays they come from stay for :meth:`gradient`."""
         theta = np.array(theta, dtype=float)
         # dropped first, so that the last step's K and the new one are never both held
         self._RX = None
         basis = gp_basis_build(self.knots, gaussian_kernel(theta), self.g_kind)
         K = kernel_matrix(basis.spec, self.X, self.A)
-        B = _basis_rows(basis, self.GX, K)
-        gamma = _normal_factor(B.T @ B).solve(B.T @ self.y)
-        r = self.y - B @ gamma
+        fac, _, gamma, r = _least_squares(_basis_rows(basis, self.GX, K), self.y)
         self.theta, self.gamma, self.f, self.basis = theta, gamma, float(r @ r) / self.n, basis
+        self.jitter = fac.jitter_applied
         self._RX, self._r, self._w = K, r, basis.V @ gamma
         return self.f, gamma
 
@@ -748,7 +751,8 @@ def estimate_kernel_params(
     over the log10 rates in [-2, 3]^d from theta0 clipped into the box, for
     at most ``max_iter`` iterations; each evaluation builds the basis at its
     rates by :func:`gp_basis_build`, solves for gamma exactly and takes the
-    exact gradient in all d rates.  The model is the last accepted step's basis.
+    exact gradient in all d rates.  The model, from the last accepted step,
+    is ``fit_gprr(X, y, A, model.kernel, g_kind, 0.0)``, jitter included.
     The search sees f divided by f(theta0), or by eps * mean(y**2) if that
     is larger, so it does not depend on the units of ``y``.  It also stops
     when an accepted iterate lowers f by less than ``tol`` times the
@@ -769,8 +773,8 @@ def estimate_kernel_params(
 
     search = _RateSearch(X, y, knots, g_kind)
     f0, gamma = search.gamma_step(theta0)
-    # the trace, and the rates, knot values and basis of its last entry
-    trace, kept = [f0], [theta0, gamma, search.basis]
+    # the trace, and the rates, knot values, basis and B'B jitter of its last entry
+    trace, kept = [f0], [theta0, gamma, search.basis, search.jitter]
     # the stopping tests of L-BFGS-B are absolute below 1; the floor keeps
     # the rounding-level f of a start that already reproduces y from
     # driving a search
@@ -793,7 +797,7 @@ def estimate_kernel_params(
         at(x)
         if search.f <= trace[-1]:
             trace.append(search.f)
-            kept[:] = search.theta, search.gamma, search.basis
+            kept[:] = search.theta, search.gamma, search.basis, search.jitter
             return True
         return False
 
@@ -812,12 +816,12 @@ def estimate_kernel_params(
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", callback=callback,
                        bounds=[(-2.0, 3.0)] * search.d, options={"maxiter": max_iter})
         converged, evaluations = stopped or res.status != 1, res.nfev
-    theta, gamma, basis = kept
+    theta, gamma, basis, jitter = kept
     return KernelParamsFit(
         theta=theta.copy(),
         gamma_hat=gamma,
         objective_trace=[float(v) for v in trace],
-        model=_basis_model(basis, gamma, 0.0, iterations=len(trace) - 1),
+        model=_basis_model(basis, gamma, 0.0, jitter=jitter, iterations=len(trace) - 1),
         converged=converged,
         evaluations=evaluations,
     )

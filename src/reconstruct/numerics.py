@@ -7,7 +7,7 @@ is attempted with no jitter first, then with 1e-10 and 1e-8 times the
 mean diagonal added to the diagonal.  Solves go through the factor:
 :meth:`SpdFactorization.gls` is the one generalized-least-squares trend
 solve and :meth:`SpdFactorization.solve` is that solve with no trend, so
-every solve is the same pair of BLAS triangular solves.  The low-rank fits
+every SPD solve is the same pair of BLAS triangular solves.  The low-rank fits
 work in coordinates whitened by the knot factor, so no inverse of a
 correlation matrix or of a GLS system is formed.  A least-squares normal
 matrix that no jitter level makes factorable raises ``SingularSystem``.
@@ -16,8 +16,9 @@ Banded systems are LAPACK upper band arrays of shape (bandwidth + 1, n).
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
 from which its residual and trace at every lambda of a grid follow in
 O(len(d)) each.  A ridge fit on an n x m basis B with penalty factor W
-takes its spectrum from one m x m SVD against the Cholesky factor of B'B,
-and its coefficients from one m-column stacked QR that reads no row of B.
+reads B only in the lambda = 0 step :func:`_least_squares`, as the
+kernel-rate search does: its spectrum is one m x m SVD against the step's
+factor of B'B, and its coefficients one m-column stacked QR (none at 0).
 The pentadiagonal finite-difference smoother is
 diagonalized the same way, up to one rank-1 term per parity, by the
 discrete cosine transform: one DCT of y (``scipy.fft``, imported at the
@@ -206,22 +207,34 @@ class SmootherSpectrum:
         return rss, np.sum(s, axis=1) + self.k0
 
 
+def _least_squares(B, y):
+    """The lambda = 0 step on an n x m basis B, the one place B'B is formed:
+    the factor of B'B = LL' (:func:`spd_factor`'s ladder), c = L^{-1}B'y,
+    gamma0 = L^{-T}c and y - B gamma0, by :meth:`SpdFactorization.solve`'s dtrsm pair."""
+    from scipy.linalg.blas import dtrsm  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+
+    fac = _normal_factor(B.T @ B)
+    c = dtrsm(1.0, fac.factor, (B.T @ y)[:, None], lower=1)
+    gamma0 = dtrsm(1.0, fac.factor, c, lower=1, trans_a=1)[:, 0]
+    return fac, c[:, 0], gamma0, y - B @ gamma0
+
+
 def demmler_reinsch(B, W, y):
     """Spectrum of the ridge smoother of min ||B g - y||^2 + n*lam*||W g||^2,
     H(lam) = B (B'B + n*lam*W'W)^{-1} B', and its coefficients.
 
     The generalized SVD of (B, W) (Van Loan 1976; Paige & Saunders 1981)
-    from an m x m factor of B'B = LL': with c = L^{-1}B'y and the SVD
+    from :func:`_least_squares`' B'B = LL' and c = L^{-1}B'y: with the SVD
     W L^{-T} = U diag(s) V', the columns of B L^{-T} V are orthonormal and
     H scales them by 1 / (1 + n*lam*mu_i), mu = s^2 padded with zeros when
     W has fewer than m rows, so d_i = 1/mu_i (infinite on the null space of
     W) and z = V'c; the n - m directions outside the column space of B are
-    pure residual.  A B'B that is not positive definite gets the jitter
-    ladder of :func:`spd_factor`.
+    pure residual.
 
     Returns the spectrum, ``coefficients(lam) -> gamma``, the least-squares
     solution of [L'; sqrt(n*lam) W] gamma = [c; 0] from one thin QR of that
-    stack, which reads nothing of B, and the jitter put on B'B.
+    stack, which reads nothing of B (at lam = 0, L'gamma = c: the step's
+    gamma0), and the jitter put on B'B.
     """
     from scipy.linalg import solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
 
@@ -231,19 +244,19 @@ def demmler_reinsch(B, W, y):
     if B.ndim != 2 or W.ndim != 2 or W.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"B has shape {B.shape} and W {W.shape}; need (n, m) and (k, m)")
     n, m = B.shape
-    fac = _normal_factor(B.T @ B)
+    fac, c, gamma0, r = _least_squares(B, y)
     L = fac.factor
-    c = solve_triangular(L, B.T @ y, lower=True)
     _, s, Vt = np.linalg.svd(solve_triangular(L, W.T, lower=True).T,
                              full_matrices=W.shape[0] < m)
     mu = np.zeros(m)
     mu[: s.size] = s * s
     z = Vt @ c
-    r = y - B @ solve_triangular(L, c, lower=True, trans="T")
     with np.errstate(divide="ignore"):
         d = 1.0 / mu
 
     def coefficients(lam):
+        if lam == 0.0:
+            return gamma0
         Q, R = np.linalg.qr(np.vstack([L.T, np.sqrt(n * lam) * W]))
         return solve_triangular(R, Q[:m].T @ c)  # R^{-1} Q'[c; 0]
 

@@ -318,6 +318,17 @@ class TestFitPredict:
         assert "need more knots (3) than regression functions (4)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_estimate_theta_takes_no_theta(self, tmp_path, train_csv, capsys):
+        # the rate search starts from its own default rates, so a --theta
+        # would be ignored
+        path, _, _ = train_csv
+        out = tmp_path / "gprr.json"
+        assert dispatch(["fit", "--data", str(path), "--m", "8", "--seed", "4", "--theta", "5",
+                         "--estimate-theta", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--theta" in err and "--estimate-theta" in err
+        assert not out.exists()
+
     def test_estimate_theta_needs_knots(self, tmp_path, train_csv, capsys):
         # with every point a knot there are no rates to estimate
         path, _, _ = train_csv
@@ -393,8 +404,10 @@ class TestFitPredict:
          "model field 'diagnostics.iterations'"),
         (lambda doc: dict(doc, diagnostics=dict(doc["diagnostics"], iterations=True)),
          "model field 'diagnostics.iterations'"),
+        (lambda doc: dict(doc, **{"lambda": 10**400}), "model field 'lambda'"),
     ], ids=["list", "string", "diagnostics-list", "unknown-g-kind", "w-object", "beta-string",
-            "gcv-list", "jitter-string", "iterations-negative", "iterations-bool"])
+            "gcv-list", "jitter-string", "iterations-negative", "iterations-bool",
+            "lambda-beyond-float"])
     def test_malformed_model_is_data_error(self, tmp_path, train_csv, capsys, command, damage,
                                            named):
         path, _, _ = train_csv

@@ -27,6 +27,7 @@ from reconstruct.errors import (
     NonFiniteInput,
     NotPositiveDefinite,
     RankDeficientRegression,
+    ReconstructError,
     SingularSystem,
 )
 from reconstruct.estimators import (
@@ -693,6 +694,62 @@ class TestKernelParamEstimation:
         )
 
 
+def _assert_rate_search_is_subset_fit(X, y, A, g_kind, theta, max_iter):
+    """The gamma-step at theta and the rate search's model are the subset
+    fit_gprr at lambda = 0, bit for bit: one least-squares step serves both."""
+    gamma = estimators._RateSearch(X, y, KnotSet(A), g_kind).gamma_step(theta)[1]
+    kp = estimate_kernel_params(X, y, A, g_kind, theta0=theta, max_iter=max_iter)
+    fit = fit_gprr(X, y, A, gaussian_kernel(theta), g_kind, 0.0)
+    np.testing.assert_array_equal(gamma, fit.gamma_hat)
+    ref = fit_gprr(X, y, A, kp.model.kernel, g_kind, 0.0)
+    for name in ("gamma_hat", "beta", "w", "lam"):
+        np.testing.assert_array_equal(getattr(kp.model, name), getattr(ref, name))
+    assert kp.model.diagnostics.jitter == ref.diagnostics.jitter
+    return ref
+
+
+class TestRateSearchIsSubsetFit:
+    def test_borehole_draw(self):
+        X, y, A = TestKernelParamEstimation._borehole_draw()
+        _assert_rate_search_is_subset_fit(X, y, A, "constant+linear", np.full(8, 12.5), 3)
+
+    def test_repeated_inputs_report_the_jitter_on_b_b(self):
+        # 4 distinct inputs x 30 rows and 10 knots elsewhere: B has rank 4
+        r = np.random.default_rng(3)
+        X = np.repeat(r.random((4, 2)), 30, axis=0)
+        y, A = np.sin(3 * X[:, 0]) + X[:, 1] + 0.1 * r.normal(size=120), r.random((10, 2))
+        fit = _assert_rate_search_is_subset_fit(X, y, A, "constant+linear", [12.5, 12.5], 0)
+        assert fit.diagnostics.jitter > 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        n=st.integers(30, 150),
+        knot_share=st.floats(0.0, 1.0),
+        g_kind=st.sampled_from(["constant+linear", "constant", "none"]),
+        rates=st.lists(st.floats(0.1, 100.0), min_size=3, max_size=3),
+        distinct_inputs=st.one_of(st.none(), st.integers(1, 8)),
+    )
+    def test_property(self, seed, d, n, knot_share, g_kind, rates, distinct_inputs):
+        # from q + 1 to n/4 knots; with a few distinct input rows B'B is
+        # singular and takes jitter, or fails on both paths alike
+        r = np.random.default_rng(seed)
+        q = regression_matrix(g_kind, np.zeros((1, d))).shape[1]
+        m = q + 1 + int(knot_share * (n // 4 - q - 1))
+        X = r.random((n, d))
+        if distinct_inputs is not None:
+            X = X[r.integers(0, distinct_inputs, n)]
+        y = np.sin(3 * X[:, 0]) + X[:, -1] ** 2 + 0.2 * r.normal(size=n)
+        A = r.random((m, d))
+        theta = np.array(rates[:d])
+        try:
+            _assert_rate_search_is_subset_fit(X, y, A, g_kind, theta, 0)
+        except ReconstructError as exc:
+            with pytest.raises(type(exc)):
+                fit_gprr(X, y, A, gaussian_kernel(theta), g_kind, 0.0)
+
+
 # a stored-model field value that deletes the field
 _ABSENT = object()
 
@@ -929,6 +986,7 @@ class TestModelJsonSchema:
         ("lambda", math.inf),
         ("lambda", -1.0),
         ("lambda", True),
+        ("lambda", 10**400),
         ("method", 123),
         ("kernel", {"family": "gaussian"}),
         ("kernel", {"family": "gaussian", "theta": [0.0, 12.5]}),
@@ -939,6 +997,25 @@ class TestModelJsonSchema:
     def test_unusable_kernel_model_is_rejected_on_load(self, rng, field, value):
         with pytest.raises(BadSchema, match=f"'{field}'"):
             model_from_json(self._stored(rng, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["jitter", "gcv"])
+    def test_diagnostic_beyond_the_float_range_is_rejected_on_load(self, rng, field):
+        # json reads a 400-digit literal as a Python int, which float() refuses
+        doc = self._stored(rng)
+        doc["diagnostics"][field] = 10**400
+        with pytest.raises(BadSchema, match=f"'diagnostics.{field}'"):
+            model_from_json(json.loads(json.dumps(doc)))
+
+    def test_integer_numbers_load_as_floats(self, rng):
+        doc = self._stored(rng, **{"lambda": 2})
+        doc["diagnostics"].update(gcv=3, jitter=10**300, iterations=4)
+        model = model_from_json(doc)
+        assert type(model.lam) is float and model.lam == 2.0
+        for name, value in (("gcv", 3.0), ("jitter", 1e300)):
+            got = getattr(model.diagnostics, name)
+            assert type(got) is float and got == value
+        assert model.diagnostics.iterations == 4
+        assert model_to_json(model)["diagnostics"] == {"gcv": 3.0, "jitter": 1e300, "iterations": 4}
 
     @pytest.mark.parametrize("interpolator", ["lagrange", "spline"])
     def test_unusable_1d_model_is_rejected_on_load(self, interpolator):
