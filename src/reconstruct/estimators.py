@@ -67,6 +67,7 @@ from .numerics import (
     SmootherSpectrum,
     _least_squares,
     _penalty_factor,
+    _trend_qr,
     banded_spd_solve,
     demmler_reinsch,
     fdp_residual_and_trace,
@@ -423,12 +424,12 @@ def _kriging_spectrum(R, G, y):
     Returns the spectrum and ``coefficients(lam) -> (beta, c, gamma)``:
     the prediction is g(x)'beta + r_X(x)'c and gamma are the fitted values.
     """
-    from scipy.linalg import eigh_tridiagonal, lapack, solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+    from scipy.linalg import blas, eigh_tridiagonal, lapack  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
 
     n, q = G.shape
     Rp = R
     if q:
-        Q1, Rg = np.linalg.qr(G)
+        Q1, Rg = _trend_qr(G)
         RQ = R @ Q1
         shift = (1.0 + np.trace(R)) * np.eye(q)
         Rp = R - RQ @ Q1.T - Q1 @ RQ.T + Q1 @ (Q1.T @ RQ + shift) @ Q1.T
@@ -456,7 +457,7 @@ def _kriging_spectrum(R, G, y):
         c = apply_q(S @ (z / (d + nl)), "N")
         gamma = y - nl * c
         # y - K c lies in the column space of G: it is G beta
-        beta = solve_triangular(Rg, Q1.T @ (gamma - R @ c)) if q else np.zeros(0)
+        beta = blas.dtrsm(1.0, Rg, Q1.T @ (gamma - R @ c)[:, None])[:, 0] if q else np.zeros(0)
         return beta, c, gamma
 
     return SmootherSpectrum(n=n, d=d, z=z), coefficients
@@ -699,7 +700,7 @@ class _RateSearch:
         # dropped first, so that the last step's K and the new one are never both held
         self._RX = None
         basis = gp_basis_build(self.knots, gaussian_kernel(theta), self.g_kind)
-        K = kernel_matrix(basis.spec, self.X, self.A)
+        K = kernel_matrix(basis.spec, self.A, self.X).T
         fac, _, gamma, r = _least_squares(_basis_rows(basis, self.GX, K), self.y)
         self.theta, self.gamma, self.f, self.basis = theta, gamma, float(r @ r) / self.n, basis
         self.jitter = fac.jitter_applied

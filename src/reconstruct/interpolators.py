@@ -310,7 +310,7 @@ def design_matrix(basis: GPBasis, X) -> np.ndarray:
             f"points have {X.shape[1]} coordinates, knots have {basis.knots.d}"
         )
     return _basis_rows(basis, regression_matrix(basis.g_kind, X),
-                       kernel_matrix(basis.spec, X, basis.knots.points))
+                       kernel_matrix(basis.spec, basis.knots.points, X).T)
 
 
 def gp_interp_eval(basis: GPBasis, gamma, X) -> np.ndarray:

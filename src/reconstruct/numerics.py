@@ -6,11 +6,12 @@ Every dense Cholesky factorization in the package goes through
 is attempted with no jitter first, then with 1e-10 and 1e-8 times the
 mean diagonal added to the diagonal.  Solves go through the factor:
 :meth:`SpdFactorization.gls` is the one generalized-least-squares trend
-solve and :meth:`SpdFactorization.solve` is that solve with no trend, so
-every SPD solve is the same pair of BLAS triangular solves.  The low-rank fits
-work in coordinates whitened by the knot factor, so no inverse of a
-correlation matrix or of a GLS system is formed.  A least-squares normal
-matrix that no jitter level makes factorable raises ``SingularSystem``.
+solve, whose thin QR :func:`_trend_qr` holds the one rank rule for trends,
+and :meth:`SpdFactorization.solve` is that solve with no trend.  Every
+triangular solve is a BLAS ``dtrsm`` call, so an SPD solve is a pair of them.
+The low-rank fits work in coordinates whitened by the knot factor, so no
+inverse of a correlation matrix or of a GLS system is formed.  A least-squares
+normal matrix that no jitter level makes factorable raises ``SingularSystem``.
 Banded systems are LAPACK upper band arrays of shape (bandwidth + 1, n).
 
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,
@@ -83,10 +84,7 @@ class SpdFactorization:
         Gw, Yw = Z[:, :q], Z[:, q:]
         beta = np.zeros((q, Yw.shape[1]))
         if q:
-            Q, Rg = np.linalg.qr(Gw)
-            r = np.abs(Rg.diagonal())
-            if not r.min() > self.dimension * _EPS * r.max():
-                raise SingularSystem(f"GLS trend matrix of rank < {q}")
+            Q, Rg = _trend_qr(Gw)
             QtY = Q.T @ Yw
             beta = dtrsm(1.0, Rg, QtY)
             Yw = Yw - Q @ QtY
@@ -94,6 +92,15 @@ class SpdFactorization:
         if Y.ndim == 1:
             return beta[:, 0], w[:, 0]
         return beta, w
+
+
+def _trend_qr(G: np.ndarray):
+    """Thin QR of n x q trend columns G, of full rank: min |R_ii| > n eps max |R_ii|."""
+    Q, R = np.linalg.qr(G)
+    r = np.abs(R.diagonal())
+    if not r.min() > G.shape[0] * _EPS * r.max():
+        raise SingularSystem(f"GLS trend matrix of rank < {G.shape[1]}")
+    return Q, R
 
 
 def _normal_factor(N: np.ndarray) -> SpdFactorization:
@@ -236,7 +243,7 @@ def demmler_reinsch(B, W, y):
     stack, which reads nothing of B (at lam = 0, L'gamma = c: the step's
     gamma0), and the jitter put on B'B.
     """
-    from scipy.linalg import solve_triangular  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
+    from scipy.linalg.blas import dtrsm  # deferred: ~0.3 s, ~26 MiB to import scipy.linalg
 
     B = np.asarray(B, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -246,7 +253,7 @@ def demmler_reinsch(B, W, y):
     n, m = B.shape
     fac, c, gamma0, r = _least_squares(B, y)
     L = fac.factor
-    _, s, Vt = np.linalg.svd(solve_triangular(L, W.T, lower=True).T,
+    _, s, Vt = np.linalg.svd(dtrsm(1.0, L, W, side=1, lower=1, trans_a=1),  # W L^{-T}
                              full_matrices=W.shape[0] < m)
     mu = np.zeros(m)
     mu[: s.size] = s * s
@@ -258,7 +265,7 @@ def demmler_reinsch(B, W, y):
         if lam == 0.0:
             return gamma0
         Q, R = np.linalg.qr(np.vstack([L.T, np.sqrt(n * lam) * W]))
-        return solve_triangular(R, Q[:m].T @ c)  # R^{-1} Q'[c; 0]
+        return dtrsm(1.0, R, Q[:m].T @ c[:, None])[:, 0]  # R^{-1} Q'[c; 0]
 
     spectrum = SmootherSpectrum(n=n, d=d, z=z, e0=float(r @ r), k0=n - m)
     return spectrum, coefficients, fac.jitter_applied

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from reconstruct.baselines import (
     VarianceParams,
+    _whitened_cross,
     estimate_variances,
     fit_empirical_bayes,
     fit_gpr,
@@ -318,6 +320,44 @@ class TestLowRankMemory:
         tracemalloc.stop()
         # an n x n double array alone would be 80 GB
         assert peak < 2e9
+
+    def test_whitened_cross_peak_is_under_one_and_a_half_n_by_m_arrays(self, rng):
+        # the (m, n) cross-kernel is built without a transposed copy and P is
+        # solved in place on its transpose, so one n x m array is held
+        n, m = 20000, 40
+        A = KnotSet(separated_points(rng, m, 4))
+        X = rng.random((n, 4))
+        tracemalloc.start()
+        try:
+            _whitened_cross(X, A, default_gaussian(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * m * 8
+
+
+class TestWhitenedCross:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), n=st.integers(8, 40), data=st.data())
+    def test_matches_dense_solves(self, d, n, data):
+        # P P' = R_XA R_A^{-1} R_XA' and the sparse GP's w = R_A^{-1} gamma_hat
+        # against dense LU solves; the two routes agree to about cond(R_A)
+        # times eps, so knot sets that make R_A worse conditioned than 1e6
+        # are skipped
+        m = data.draw(st.integers(1, n // 4))
+        theta = data.draw(st.lists(st.floats(0.1, 100.0), min_size=d, max_size=d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.random((n, d))
+        spec = gaussian_kernel(theta)
+        R_A, R_XA = kernel_matrix(spec, X[:m], X[:m]), kernel_matrix(spec, X, X[:m])
+        assume(np.linalg.cond(R_A) < 1e6)
+        _, facA, P = _whitened_cross(X, X[:m], spec)
+        assert facA.jitter_applied == 0.0
+        ref = R_XA @ np.linalg.solve(R_A, R_XA.T)
+        np.testing.assert_allclose(P @ P.T, ref, rtol=0, atol=1e-10 * np.max(np.abs(ref)))
+        model = fit_spgp(X, rng.normal(size=n), X[:m], spec, VarianceParams(1.0, 0.3))
+        w_ref = np.linalg.solve(R_A, model.gamma_hat)
+        np.testing.assert_allclose(model.w, w_ref, rtol=0, atol=1e-10 * np.max(np.abs(w_ref)))
 
 
 class TestBaselineLinearity:

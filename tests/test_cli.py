@@ -209,6 +209,19 @@ class TestFitPredict:
         assert rc == 2
         assert "need more knots (2) than regression functions (3)" in capsys.readouterr().err
 
+    def test_gcv_fit_on_a_constant_feature_is_data_error(self, tmp_path, rng, capsys):
+        # the constant x2 makes the linear trend rank deficient
+        X = rng.random((80, 2))
+        X[:, 1] = 0.5
+        data = tmp_path / "flat.csv"
+        np.savetxt(data, np.column_stack([X, np.sin(4 * X[:, 0])]), delimiter=",",
+                   header="x1,x2,y", comments="")
+        out = tmp_path / "m.json"
+        rc = dispatch(["fit", "--data", str(data), "--method", "gpr", "--out", str(out)])
+        assert rc == 2
+        assert "GLS trend matrix of rank < 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
     def test_fit_without_header_is_data_error(self, tmp_path, text, capsys):
         data = tmp_path / "empty.csv"

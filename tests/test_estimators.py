@@ -225,6 +225,21 @@ class TestGprr:
         ref = np.linalg.solve(R, Q.T @ np.concatenate([data.y, np.zeros(m)]))
         assert np.max(np.abs(model.gamma_hat - ref)) <= 1e-6 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_rank_deficient_trend_raises_at_every_lambda(self, rng, n):
+        # a constant coordinate makes its linear trend column a multiple of
+        # the constant one: GCV's spectrum and a fixed lambda's GLS solve
+        # reject the trend by the same rank rule
+        X = rng.random((n, 3))
+        X[:, 1] = 0.5
+        y = np.sin(4 * X[:, 0]) + 0.1 * rng.normal(size=n)
+        spec = default_gaussian(3)
+        for policy in ("gcv", 1e-3):
+            with pytest.raises(SingularSystem, match="rank < 4"):
+                fit_gpr(X, y, spec, "constant+linear", policy)
+            with pytest.raises(SingularSystem, match="rank < 4"):
+                fit_gprr(X, y, None, spec, "constant+linear", policy)
+
     def test_superposition_in_y(self, rng):
         X = rng.random((40, 2))
         y1, y2 = rng.normal(size=40), rng.normal(size=40)
