@@ -588,14 +588,14 @@ def run_ccpp(dataset: Dataset, config: ExperimentConfig) -> BenchmarkReport:
 
 
 def _sequential_knots(X, y, indices, kp, config, test_pair):
-    """Grow the knot set one residual-argmax point at a time."""
+    """Grow the knot set one residual-argmax point at a time.  A candidate is
+    any row equal to no knot, so a repeated input is never added twice."""
     n = X.shape[0]
     indices = [int(i) for i in indices]
     trajectory = [_traj_record(0, kp, n, test_pair, None)]
     stall = 0
     for it in range(1, config.iterations + 1):
-        new_idx = next_knot(X, kp.model.knots, y, predictions=predict(kp.model, X),
-                            exclude_indices=indices)
+        new_idx = next_knot(X, kp.model.knots, y, predictions=predict(kp.model, X))
         indices.append(int(new_idx))
         kp = _rate_search(X, y, KnotSet(X[np.asarray(indices)]), config, kp.theta)
         trajectory.append(_traj_record(it, kp, n, test_pair, new_idx))

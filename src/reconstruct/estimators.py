@@ -511,9 +511,10 @@ def _kriging_full_model(X, y, spec, g_kind, lambda_policy, grid, method) -> Fitt
 
 def _basis_model(basis: GPBasis, gamma, lam, tuned=FitDiagnostics(), jitter=0.0,
                  iterations=0) -> FittedModel:
-    """The gprr model with knot values gamma on a kriging basis and the
-    diagnostics ``tuned`` of its lambda search; the jitter reported is the
-    larger of ``jitter`` and the basis's own."""
+    """The gprr model with knot values gamma on a kriging basis, (beta, w) their
+    GLS solve on R_A's factor, and the diagnostics ``tuned`` of its lambda
+    search; the jitter reported is the larger of ``jitter`` and the basis's own."""
+    beta, w = basis.R_A_factor.gls(basis.G_A, gamma)
     return FittedModel(
         interpolator="gp",
         knots=basis.knots,
@@ -521,8 +522,8 @@ def _basis_model(basis: GPBasis, gamma, lam, tuned=FitDiagnostics(), jitter=0.0,
         lam=lam,
         kernel=basis.spec,
         g_kind=basis.g_kind,
-        beta=basis.U.T @ gamma,
-        w=basis.V @ gamma,
+        beta=beta,
+        w=w,
         method="gprr",
         diagnostics=replace(tuned, jitter=max(jitter, basis.R_A_factor.jitter_applied),
                             iterations=iterations),
@@ -704,7 +705,7 @@ class _RateSearch:
         fac, _, gamma, r = _least_squares(_basis_rows(basis, self.GX, K), self.y)
         self.theta, self.gamma, self.f, self.basis = theta, gamma, float(r @ r) / self.n, basis
         self.jitter = fac.jitter_applied
-        self._RX, self._r, self._w = K, r, basis.V @ gamma
+        self._RX, self._r, self._w = K, r, basis.R_A_factor.gls(basis.G_A, gamma)[1]
         return self.f, gamma
 
     def gradient(self) -> np.ndarray:

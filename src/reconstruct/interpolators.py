@@ -242,23 +242,19 @@ def spline_eval(coeffs: SplineCoefficients, x):
 
 
 def kernel_interp_eval(A, gamma, spec: KernelSpec, x):
-    """Minimum-norm kernel interpolant gamma' R_A^{-1} r_A(x)."""
-    A = as_knots(A)
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    if gamma.shape[0] != A.m:
-        raise DimensionMismatch("gamma length must equal the number of knots")
-    fac = spd_factor(kernel_matrix(spec, A.points, A.points))
-    w = fac.solve(gamma)
-    xs = np.asarray(x, dtype=float)
-    single = xs.ndim == 1
-    xs = np.atleast_2d(xs)
-    vals = kernel_matvec(spec, xs, A.points, w)
-    return float(vals[0]) if single else vals
+    """Minimum-norm kernel interpolant gamma' R_A^{-1} r_A(x): the kriging
+    interpolant :func:`gp_interp_eval` on the trendless basis of ``A``."""
+    vals = gp_interp_eval(gp_basis_build(A, spec, "none"), gamma, x)
+    return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
 @dataclass(frozen=True)
 class GPBasis:
-    """Precomputed machinery of the kriging interpolator b(x) = U g(x) + V r_A(x)."""
+    """The kriging interpolator on a knot set.  The interpolant of knot values
+    gamma is g(x)'beta + r_A(x)'w, (beta, w) one GLS solve of gamma on R_A's
+    factor (:func:`gp_interp_eval`).  U and V, the basis
+    b(x) = U g(x) + V r_A(x), only assemble a fit's design matrix B and its
+    penalty factor W = L_A'V."""
 
     knots: KnotSet
     spec: KernelSpec
@@ -303,7 +299,8 @@ def _basis_rows(basis: GPBasis, G_X, R_XA) -> np.ndarray:
 
 def design_matrix(basis: GPBasis, X) -> np.ndarray:
     """Rows b(x_i)' for the points of X: G_X U' + R_XA V, assembled by
-    :func:`_basis_rows` as in each step of the kernel-rate search."""
+    :func:`_basis_rows` as in each step of the kernel-rate search.  It is the
+    basis a fit solves on; no evaluation of the interpolant forms it."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != basis.knots.d:
         raise DimensionMismatch(
@@ -314,9 +311,16 @@ def design_matrix(basis: GPBasis, X) -> np.ndarray:
 
 
 def gp_interp_eval(basis: GPBasis, gamma, X) -> np.ndarray:
-    """Kriging interpolant gamma' b(x) at each row of X."""
-    gamma = np.asarray(gamma, dtype=float).ravel()
-    return design_matrix(basis, X) @ gamma
+    """Kriging interpolant of knot values gamma at the rows of X, as ``predict``
+    evaluates a model: r_A(x)'w + g(x)'beta, (beta, w) the GLS solve of gamma."""
+    if np.size(gamma) != basis.knots.m:
+        raise DimensionMismatch("gamma length must equal the number of knots")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    beta, w = basis.R_A_factor.gls(basis.G_A, np.ravel(gamma))
+    out = kernel_matvec(basis.spec, X, basis.knots.points, w)
+    if beta.size:
+        out += regression_matrix(basis.g_kind, X) @ beta
+    return out
 
 
 # ---------------------------------------------------------------------------

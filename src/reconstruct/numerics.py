@@ -9,9 +9,12 @@ mean diagonal added to the diagonal.  Solves go through the factor:
 solve, whose thin QR :func:`_trend_qr` holds the one rank rule for trends,
 and :meth:`SpdFactorization.solve` is that solve with no trend.  Every
 triangular solve is a BLAS ``dtrsm`` call, so an SPD solve is a pair of them.
-The low-rank fits work in coordinates whitened by the knot factor, so no
-inverse of a correlation matrix or of a GLS system is formed.  A least-squares
-normal matrix that no jitter level makes factorable raises ``SingularSystem``.
+The low-rank fits work in coordinates whitened by the knot factor.  The one
+inverse formed is the kriging basis's V = R_A^{-1}(I - G_A U'), and only to
+assemble a subset fit's design matrix B and penalty factor W = L_A'V; the
+coefficients (beta, w) of every kriging model are a GLS solve of its knot
+values.  A least-squares normal matrix that no jitter level makes factorable
+raises ``SingularSystem``.
 Banded systems are LAPACK upper band arrays of shape (bandwidth + 1, n).
 
 A ridge-type smoother is diagonalized once into a :class:`SmootherSpectrum`,

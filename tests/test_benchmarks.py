@@ -367,6 +367,20 @@ class TestSequentialKnots:
         assert max(report.knots) < 300
         assert "gprr" in report.summary["initial_test_errors"]
 
+    def test_repeated_inputs_add_distinct_knots(self):
+        # 300 rows drawn from 30 distinct inputs: a knot added by index could
+        # repeat a knot's coordinates and fail the knot set
+        from reconstruct.benchmarks import Dataset, run_ccpp
+
+        rng = np.random.default_rng(1)
+        X = rng.random((30, 2))[rng.integers(0, 30, 300)]
+        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=300)
+        cfg = ExperimentConfig(m=8, iterations=15, trials=200, seed=1, bcd_max_iter=2)
+        report = run_ccpp(Dataset(X=X, y=y), cfg)
+        knots = X[np.asarray(report.knots)]
+        assert len(report.per_run) > 1
+        assert np.unique(knots, axis=0).shape[0] == knots.shape[0]
+
     def test_method_failure_goes_to_errors(self):
         from reconstruct.benchmarks import Dataset, run_ccpp
 

@@ -812,6 +812,23 @@ class TestMoreSurfaces:
         assert payload["kind"] == "ccpp"
         assert payload["per_run"][0]["m"] == 6
 
+    def test_knots_sequential_on_repeated_inputs(self, tmp_path, capsys):
+        # 300 rows that repeat 30 inputs: each added knot is a new input
+        rng = np.random.default_rng(32)
+        X = rng.random((30, 2))[rng.integers(0, 30, 300)]
+        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=300)
+        data = tmp_path / "rep.csv"
+        data.write_text("x1,x2,y\n" + "\n".join(
+            f"{float(a)!r},{float(b)!r},{float(c)!r}" for (a, b), c in zip(X, y)) + "\n")
+        out = tmp_path / "traj.json"
+        assert dispatch([
+            "knots", "sequential", "--data", str(data), "--m0", "8",
+            "--trials", "200", "--seed", "1", "--out", str(out),
+        ]) == 0
+        knots = X[np.asarray(json.loads(out.read_text())["knots"])]
+        assert knots.shape[0] > 8
+        assert np.unique(knots, axis=0).shape[0] == knots.shape[0]
+
     def test_knots_sequential_with_every_point_a_knot(self, tmp_path, rng, capsys):
         X = rng.random((12, 2))
         y = np.sin(4 * X[:, 0]) + 0.1 * rng.normal(size=12)

@@ -33,6 +33,7 @@ from reconstruct.errors import (
 from reconstruct.estimators import (
     DEFAULT_LAMBDA_GRID,
     FittedModel,
+    _basis_model,
     _fdp_rss_and_dof,
     _gcv_curve,
     _kriging_spectrum,
@@ -48,9 +49,11 @@ from reconstruct.estimators import (
     select_lambda,
 )
 from reconstruct.interpolators import (
+    G_KINDS,
     KnotSet,
     design_matrix,
     gp_basis_build,
+    gp_interp_eval,
     kernel_interp_eval,
     lagrange_eval,
     regression_matrix,
@@ -888,6 +891,86 @@ class TestIndependentOracle:
         oracle = np.hstack([np.ones((25, 1)), xs]) @ beta + kernel_matrix(spec, xs, X) @ c
         got = predict(fit_gprr(X, y, None, spec, "constant+linear", lam), xs)
         np.testing.assert_allclose(got, oracle, atol=1e-8 * (1 + np.max(np.abs(oracle))))
+
+
+def _mp_kriging(A, gamma, theta, X, jitter):
+    """g(x)'beta + r_A(x)'w at the rows of X for the Gaussian kriging
+    interpolant of gamma with a constant + linear trend, from a 30-digit
+    solve of [R_A + jitter I, G_A; G_A', 0][w; beta] = [gamma; 0]."""
+    m, d = A.shape
+    with mpmath.workdps(30):
+        th = [mpmath.mpf(t) for t in theta]
+        pts = [[mpmath.mpf(v) for v in a] for a in A]
+
+        def r(x, a):
+            return mpmath.exp(-mpmath.fsum(th[l] * (x[l] - a[l]) ** 2 for l in range(d)))
+
+        M = mpmath.zeros(m + d + 1)
+        for i in range(m):
+            for j in range(i, m):
+                M[i, j] = M[j, i] = r(pts[i], pts[j])
+            M[i, i] += mpmath.mpf(jitter)
+            for l, g in enumerate([1, *pts[i]]):
+                M[i, m + l] = M[m + l, i] = g
+        sol = mpmath.lu_solve(M, [mpmath.mpf(v) for v in gamma] + [0] * (d + 1))
+        out = []
+        for x in X:
+            x = [mpmath.mpf(v) for v in x]
+            out.append(float(mpmath.fsum(sol[k] * r(x, pts[k]) for k in range(m))
+                             + mpmath.fsum(sol[m + l] * g for l, g in enumerate([1, *x]))))
+    return np.array(out)
+
+
+class TestOneKrigingInterpolant:
+    """A kriging model's (beta, w) are the GLS solve of its knot values on
+    R_A's factor, and predict, gp_interp_eval and kernel_interp_eval
+    evaluate that interpolant one way."""
+
+    def test_stored_model_matches_a_30_digit_solve(self):
+        data = simulate("III", 2000, 2, 1.0, 2)
+        r = np.random.default_rng(102)
+        A = data.X[np.sort(r.choice(2000, 60, replace=False))]
+        xs = r.random((40, 2))
+        spec = gaussian_kernel([12.5, 12.5])
+        model = fit_gprr(data.X, data.y, A, spec, "constant+linear", "gcv")
+        jitter = gp_basis_build(A, spec, "constant+linear").R_A_factor.jitter_applied
+        ref = _mp_kriging(A, model.gamma_hat, spec.theta, xs, jitter)
+        assert np.max(np.abs(predict(model, xs) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_stored_model_is_gp_interp_eval(self, rng):
+        X = rng.random((300, 2))
+        y = np.sin(4 * X[:, 0]) + X[:, 1] ** 2 + 0.2 * rng.normal(size=300)
+        A, xs, spec = separated_points(rng, 20, 2), rng.random((50, 2)), default_gaussian(2)
+        for g_kind in G_KINDS:
+            model = fit_gprr(X, y, A, spec, g_kind, "gcv")
+            basis = gp_basis_build(A, spec, g_kind)
+            np.testing.assert_array_equal(predict(model, xs), gp_interp_eval(basis, model.gamma_hat, xs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(3, 30))
+    def test_property(self, seed, d, m):
+        # at the knots the error is bounded by eps times the sizes of its
+        # three sources: the GLS solve, cond(R_A) (1 + |gamma|), the trend's
+        # sum g(a)'beta, |beta|_1, and the Gaussian exponents that
+        # kernel_matvec forms in expanded form, |w|_1 (1 + sum_l theta_l s_l^2)
+        # with s_l the knots' span in coordinate l
+        r = np.random.default_rng(seed)
+        A, spec, gamma = separated_points(r, m, d), default_gaussian(d), r.normal(size=m)
+        xs = np.vstack([r.random((20, d)), A])
+        solve = np.linalg.cond(kernel_matrix(spec, A, A)) * (1 + np.max(np.abs(gamma)))
+        spread = 1 + np.sum(np.array(spec.theta) * np.ptp(A, axis=0) ** 2)
+        for g_kind in G_KINDS:
+            if regression_matrix(g_kind, A[:1]).shape[1] >= m:
+                continue
+            basis = gp_basis_build(A, spec, g_kind)
+            vals = gp_interp_eval(basis, gamma, xs)
+            np.testing.assert_array_equal(predict(_basis_model(basis, gamma, 0.0), xs), vals)
+            beta, w = basis.R_A_factor.gls(basis.G_A, gamma)
+            bound = 10 * np.finfo(float).eps * (
+                solve + np.sum(np.abs(beta)) + np.sum(np.abs(w)) * spread)
+            assert np.max(np.abs(vals[20:] - gamma)) <= bound, g_kind
+            if g_kind == "none":
+                np.testing.assert_array_equal(kernel_interp_eval(A, gamma, spec, xs), vals)
 
 
 class TestMaternPaths:
