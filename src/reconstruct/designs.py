@@ -178,12 +178,12 @@ def select_knots(X, m: int, trials: int = DEFAULT_SUBSET_TRIALS, seed=None) -> K
                          criterion=best_score)
 
 
-def next_knot(X, A, y, predictions, exclude_indices=None) -> int:
+def next_knot(X, A, y, predictions) -> int:
     """Index into X of the unused candidate with the largest squared residual.
 
-    ``predictions`` are the fitted values at the rows of X.  Membership in
-    A is decided by exact row equality unless explicit indices are given;
-    ties go to the lowest index.
+    ``predictions`` are the fitted values at the rows of X.  A row is used
+    when it equals a knot of A exactly, so every repeat of a knot's input is
+    excluded; ties go to the lowest index.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -191,12 +191,8 @@ def next_knot(X, A, y, predictions, exclude_indices=None) -> int:
     if predictions.shape[0] != X.shape[0] or y.shape[0] != X.shape[0]:
         raise LengthMismatch("X, y and predictions must have matching lengths")
     used = np.zeros(X.shape[0], dtype=bool)
-    if exclude_indices is not None:
-        used[np.asarray(exclude_indices, dtype=int)] = True
-    else:
-        pts = as_knots(A).points
-        for row in pts:
-            used |= np.all(X == row, axis=1)
+    for row in as_knots(A).points:
+        used |= np.all(X == row, axis=1)
     if np.all(used):
         raise NoCandidatesLeft("every candidate already belongs to the knot set")
     sq = (y - predictions) ** 2

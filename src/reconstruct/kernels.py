@@ -17,9 +17,14 @@ Two evaluations, for two uses:
   centres both point sets on the mean of Q and scales coordinate l by
   sqrt(theta_l), to points a and z; the exponent
   -sum_l theta_l (p_l - q_l)**2 = 2 a'z - |a|**2 - |z|**2 of a row block
-  is then one matrix product of the rows [2a, -|a|**2, -1] and
-  [z, 1, |z|**2], clamped at 0 so that no entry exceeds 1.  That exponent
-  is within about (3d + 12) * eps * (|a|**2 + |z|**2) of the exact one.
+  is then one matrix product of the rows [2a, -|a|**2, -1] and the
+  columns of Z' = [z, 1, |z|**2]', clamped at 0 so that no entry exceeds 1.
+  Z' is one C-contiguous (d + 2) x m array that every row block multiplies:
+  OpenBLAS would repack a transposed view for each block, and at m = 5000 a
+  block has 6 rows.  P and Q are copied to C order first, because the
+  sums of their norms and centre follow the memory layout; any layout
+  gives the same bits.  The exponent is within about
+  (3d + 12) * eps * (|a|**2 + |z|**2) of the exact one.
   With s_l the span of coordinate l over P and Q, each result is within
   c * eps * sum_k |w_k| * (1 + sum_l theta_l s_l**2) of the difference
   form's product, c = 2m + 8d + 32 for m points in Q in d coordinates; c
@@ -238,7 +243,9 @@ def kernel_matvec(spec: KernelSpec, P, Q, w) -> np.ndarray:
     -------
     (k,) array
     """
-    P, Q = _point_sets(spec, P, Q)
+    # numpy's row norms and column means sum in an order set by the memory
+    # layout; C-order copies make the result the same bits for any layout
+    P, Q = (np.ascontiguousarray(M) for M in _point_sets(spec, P, Q))
     w = np.asarray(w, dtype=float).ravel()
     if w.shape[0] != Q.shape[0]:
         raise DimensionMismatch(f"w has {w.shape[0]} entries, Q has {Q.shape[0]} rows")
@@ -254,14 +261,15 @@ def kernel_matvec(spec: KernelSpec, P, Q, w) -> np.ndarray:
         # |2 a'z| <= |a|^2 + |z|^2, so no partial sum of the product exceeds
         # 2 (|a|^2 + |z|^2) in size: if that is finite, nothing overflows
         if np.isfinite(2.0 * (a2.max() + z2.max())):
-            # rows [2a, -|a|^2, -1] and [z, 1, |z|^2]: their products are the
-            # exponents 2 a'z - |a|^2 - |z|^2
+            # rows [2a, -|a|^2, -1] and the columns of Z' = [z, 1, |z|^2]':
+            # their products are the exponents 2 a'z - |a|^2 - |z|^2.  Z' is
+            # C-contiguous: BLAS would repack a transposed view every block.
             A = np.column_stack([2.0 * a, -a2, np.full(k, -1.0)])
-            Z = np.column_stack([z, np.ones(m), z2])
+            Zt = np.ascontiguousarray(np.column_stack([z, np.ones(m), z2]).T)
             E = np.empty((min(rows, k), m))
             for s in range(0, k, rows):
                 Eb = E[: min(rows, k - s)]
-                np.matmul(A[s : s + rows], Z.T, out=Eb)
+                np.matmul(A[s : s + rows], Zt, out=Eb)
                 np.minimum(Eb, 0.0, out=Eb)
                 np.exp(Eb, out=Eb)
                 out[s : s + rows] = Eb @ w

@@ -292,11 +292,13 @@ class TestNextKnot:
         with pytest.raises(NoCandidatesLeft):
             next_knot(X, A, np.ones(2), predictions=np.zeros(2))
 
-    def test_explicit_indices(self):
-        X = np.array([[0.1], [0.5], [0.9]])
-        y = np.array([9.0, 1.0, 2.0])
-        idx = next_knot(X, None, y, predictions=np.zeros(3), exclude_indices=[0])
-        assert idx == 2
+    def test_repeats_of_a_knot_are_excluded(self):
+        # every row equal to a knot is used, not only the first: the knot's
+        # input repeats at rows 0 and 3, and both carry the largest residuals
+        X = np.array([[0.1], [0.5], [0.9], [0.1]])
+        A = KnotSet(np.array([[0.1]]))
+        y = np.array([9.0, 1.0, 2.0, 8.0])
+        assert next_knot(X, A, y, predictions=np.zeros(4)) == 2
 
 
 class TestReplicationDesign:

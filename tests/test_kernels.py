@@ -316,6 +316,41 @@ class TestKernelMatvec:
         else:
             assert np.max(np.abs(got - whole)) <= 2 * l * np.finfo(float).eps * np.sum(np.abs(w))
 
+    @pytest.mark.parametrize("family", ["gaussian", 1.5])
+    @pytest.mark.parametrize("k, l, d", [(700, 5000, 8), (10_000, 80, 8), (500, 200, 2), (7, 5000, 8)])
+    def test_same_bits_for_every_memory_layout(self, family, k, l, d):
+        # row norms and the centre are sums whose order follows the memory
+        # layout; the result must not, at the block sizes predictions use
+        rng = np.random.default_rng(k + l + d)
+        P, Q, w = rng.random((k, d)), rng.random((l, d)), rng.standard_normal(l)
+        spec = _spec(family, d, rng)
+
+        def sliced(M):
+            # every other column of a wider array, or every other entry
+            wide = np.zeros(M.shape[:-1] + (2 * M.shape[-1],))
+            wide[..., ::2] = M
+            return wide[..., ::2]
+
+        want = kernel_matvec(spec, P, Q, w)
+        for layout in (np.asfortranarray, sliced):
+            for args in ((layout(P), Q, w), (P, layout(Q), w), (P, Q, layout(w)),
+                         (layout(P), layout(Q), layout(w))):
+                _assert_bitwise_equal(kernel_matvec(spec, *args), want)
+
+    def test_exponent_operand_is_c_contiguous(self, rng):
+        # BLAS repacks a transposed knot operand for every row block, which
+        # at 5000 knots is every 6 rows
+        matmul, contiguous = np.matmul, []
+
+        def spy(a, b, **kwargs):
+            contiguous.append(b.flags.c_contiguous)
+            return matmul(a, b, **kwargs)
+
+        with mock.patch.object(np, "matmul", spy):
+            kernel_matvec(gaussian_kernel([1.0, 2.0]), rng.random((20, 2)), rng.random((5000, 2)),
+                          rng.standard_normal(5000))
+        assert len(contiguous) == 4 and all(contiguous)
+
     def test_shape_checks(self):
         spec = gaussian_kernel([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
