@@ -243,8 +243,13 @@ def spline_eval(coeffs: SplineCoefficients, x):
 
 def kernel_interp_eval(A, gamma, spec: KernelSpec, x):
     """Minimum-norm kernel interpolant gamma' R_A^{-1} r_A(x): the kriging
-    interpolant :func:`gp_interp_eval` on the trendless basis of ``A``."""
-    vals = gp_interp_eval(gp_basis_build(A, spec, "none"), gamma, x)
+    interpolant :func:`gp_interp_eval` on the trendless basis of ``A``, with
+    w = R_A^{-1} gamma solved on R_A's factor and no basis built."""
+    A = as_knots(A)
+    if np.size(gamma) != A.m:
+        raise DimensionMismatch("gamma length must equal the number of knots")
+    w = spd_factor(kernel_matrix(spec, A.points, A.points)).solve(np.ravel(gamma))
+    vals = kernel_matvec(spec, np.atleast_2d(np.asarray(x, dtype=float)), A.points, w)
     return float(vals[0]) if np.ndim(x) == 1 else vals
 
 

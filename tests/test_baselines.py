@@ -1,13 +1,17 @@
+import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
+from reconstruct import baselines, benchmarks
 from reconstruct.baselines import (
     VarianceParams,
+    _residual_diag,
     _whitened_cross,
     estimate_variances,
     fit_empirical_bayes,
@@ -16,7 +20,7 @@ from reconstruct.baselines import (
     fit_spgp,
 )
 from reconstruct.benchmarks import _map_indexed
-from reconstruct.errors import DegenerateData
+from reconstruct.errors import DegenerateData, SingularSystem
 from reconstruct.estimators import fit_gprr, fit_krr, predict
 from reconstruct.interpolators import KnotSet
 from reconstruct.kernels import default_gaussian, gaussian_kernel, kernel_matrix
@@ -209,7 +213,118 @@ class TestEmpiricalBayes:
         np.testing.assert_allclose(a, b, atol=1e-8 * (1 + np.max(np.abs(b))))
 
 
+def _exhaustive_variances(X, y, A, spec):
+    """The reference search: all 2 * 20 - 1 ratio systems, solved through
+    ``baselines._ratio_system`` in key order, then the 400-cell row-major
+    scan, the first maximum winning."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    n, k = len(y), 20
+    _, _, P = _whitened_cross(X, A, spec)
+    r = _residual_diag(P)
+    grid = np.logspace(-4.0, 4.0, k) * float(np.var(y))
+    stats = {}
+    for key in range(1 - k, k):
+        i = max(0, -key)
+        rho = grid[i + key] / grid[i]
+        try:
+            u, fac, h = baselines._ratio_system(P, r, rho, y)
+        except SingularSystem:
+            stats[key] = (math.nan, math.nan)
+            continue
+        quad = float(y * u @ y) - float(h @ fac.solve(h))
+        logdet = float(np.sum(np.log(r + rho))) + fac.logdet()
+        stats[key] = (quad if np.isfinite(quad) else math.nan, logdet)
+    best = (-math.inf, 0, 0)
+    for i, t2 in enumerate(grid):
+        for j in range(k):
+            quad, logdet = stats[j - i]
+            ll = -0.5 * (n * math.log(2.0 * math.pi) + n * math.log(t2) + logdet + quad / t2)
+            if ll > best[0]:
+                best = (ll, i, j)
+    if not np.isfinite(best[0]):
+        raise SingularSystem("marginal likelihood undefined on the whole grid")
+    return VarianceParams(tau2=float(grid[best[1]]), sigma2=float(grid[best[2]]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SingularSystem:
+        return SingularSystem
+
+
+@st.composite
+def _variance_problems(draw):
+    """Random designs (some with repeated inputs), kernel rates, noise levels
+    (zero included) and response scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(12, 300))
+    m = draw(st.integers(2, max(2, min(24, n // 3))))
+    X = rng.random((n, d))
+    if draw(st.booleans()):  # rows repeating a few inputs
+        X = X[rng.integers(0, max(2, n // 5), n)]
+    A = KnotSet(np.unique(X, axis=0)[:m])
+    theta = np.exp(rng.uniform(np.log(0.1), np.log(100.0), d))
+    noise = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.3, 3.0]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    y = scale * (np.sin(4 * X[:, 0]) + X.sum(axis=1) ** 2 + noise * rng.normal(size=n))
+    return X, y, A, gaussian_kernel(theta)
+
+
+def _key_of(rho):
+    """The grid key j - i of a ratio grid[j] / grid[i] = 10^(8 (j - i) / 19)."""
+    return round(math.log10(rho) * 19.0 / 8.0)
+
+
 class TestEstimateVariances:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=_variance_problems())
+    def test_same_pick_as_the_exhaustive_search(self, problem):
+        # the bound only drops ratios that cannot hold a maximum, so the pick,
+        # its ties and the undefined-grid error are those of all 39 ratios
+        X, y, A, spec = problem
+        assume(np.var(y) > 0.0)
+        assert _outcome(estimate_variances, X, y, A, spec) == _outcome(_exhaustive_variances, X, y, A, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_variance_problems(),
+           singular=st.one_of(st.sets(st.integers(-19, 19)),
+                              st.sampled_from([{-19}, {0}, {19}, {-19, 0, 19}, {-19, -18, 18, 19},
+                                               set(range(-19, 20)) - {7}, set(range(-19, 20))])))
+    def test_same_pick_or_error_when_ratios_are_singular(self, problem, singular):
+        # an interval with a singular end is never dropped, both ends and 0
+        # included; with every ratio singular both raise
+        X, y, A, spec = problem
+        assume(np.var(y) > 0.0)
+        solve = baselines._ratio_system
+
+        def failing(P, r, rho, y):
+            if _key_of(rho) in singular:
+                raise SingularSystem("singular by construction")
+            return solve(P, r, rho, y)
+
+        with mock.patch.object(baselines, "_ratio_system", failing):
+            got = _outcome(estimate_variances, X, y, A, spec)
+            expect = _outcome(_exhaustive_variances, X, y, A, spec)
+        assert got == expect
+
+    def test_borehole_draw_solves_fewer_ratio_systems(self):
+        # n = 5000, m = 80, d = 8: the Table-3 size
+        rng = np.random.default_rng(32)
+        X = rng.random((5000, 8))
+        y = benchmarks.test_function("borehole", X) + rng.normal(size=5000)
+        A, spec = KnotSet(X[:80]), gaussian_kernel(np.full(8, 12.5))
+        solve, keys = baselines._ratio_system, []
+
+        def counting(P, r, rho, y):
+            keys.append(_key_of(rho))
+            return solve(P, r, rho, y)
+
+        with mock.patch.object(baselines, "_ratio_system", counting):
+            vp = estimate_variances(X, y, A, spec)
+        assert len(keys) == len(set(keys)) < 39
+        assert vp == _exhaustive_variances(X, y, A, spec)
+
     def test_pure_noise_recovers_sigma(self):
         hits = 0
         for s in range(100):

@@ -355,6 +355,29 @@ class TestKernelInterp:
         vals = kernel_interp_eval(pts, np.zeros(6), default_gaussian(1), xs)
         np.testing.assert_allclose(vals, 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("m, d", [(1, 1), (12, 2), (200, 3)])
+    def test_is_the_trendless_kriging_interpolant_bit_for_bit(self, rng, m, d):
+        # w = R_A^{-1} gamma from R_A's factor is the GLS solve gp_interp_eval
+        # makes on the trendless basis, so the values are the same bits, for
+        # both kernel families, for one query point and for near-duplicate
+        # knots whose R_A takes jitter
+        from reconstruct.kernels import matern_kernel
+
+        base = separated_points(rng, max(m, 3), d) * 0.5
+        close = np.vstack([base, base + 1e-12])
+        xs = rng.random((40, d))
+        for A in (separated_points(rng, m, d), close):
+            gamma = rng.normal(size=len(A))
+            for spec in (default_gaussian(d), matern_kernel(2.5, 4.0)):
+                basis = gp_basis_build(A, spec, "none")
+                np.testing.assert_array_equal(kernel_interp_eval(A, gamma, spec, xs),
+                                              gp_interp_eval(basis, gamma, xs))
+                one = gp_interp_eval(basis, gamma, xs[:1])[0]
+                assert kernel_interp_eval(A, gamma, spec, xs[0]) == one
+        assert gp_basis_build(close, default_gaussian(d), "none").R_A_factor.jitter_applied > 0
+        with pytest.raises(DimensionMismatch):
+            kernel_interp_eval(A, gamma[1:], default_gaussian(d), xs)
+
 
 class TestGpBasis:
     def test_none_reduces_to_kernel_interpolator(self, rng):
